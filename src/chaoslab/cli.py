@@ -43,6 +43,7 @@ from .orbits import (
     search_period3,
 )
 from .sweep import (
+    SWEEP_GATE_GRID,
     LambdaSpec,
     SweepConfig,
     run_sweep,
@@ -373,13 +374,18 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     jobs = int(s["jobs"]) if s["jobs"] is not None else _default_jobs()
-    rows = run_sweep(config, jobs=jobs, eps_cmp=args.eps_cmp, eps_root=args.eps_root)
+    pi_scan = max(2, args.grid_density // 2)
+    rows = run_sweep(
+        config, jobs=jobs, eps_cmp=args.eps_cmp, eps_root=args.eps_root, pi_scan=pi_scan
+    )
     metadata = [
         f"chaoslab {__version__}",
         f"sweep alpha=({config.alpha_range[0]!r},{config.alpha_range[1]!r},{config.alpha_range[2]}) "
         f"beta=({config.beta_range[0]!r},{config.beta_range[1]!r},{config.beta_range[2]}) "
         f"lambda_mode={spec.kind} lambda_count={spec.count} "
         f"methods={'+'.join(m.value for m in methods)}",
+        f"grid_density={args.grid_density} pi_scan={pi_scan} gate_grid={SWEEP_GATE_GRID} "
+        f"eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
     ]
     try:
         with _open_out(config.output_path) as fh:

@@ -40,7 +40,7 @@ from .economy import (
     price_map_derivative,
     thresholds,
 )
-from .rootfind import dedupe_sorted, refine_root, scan_roots
+from .rootfind import dedupe_sorted, scan_roots
 
 #: default scan density for the Pi-set safety net on [a, m]
 PI_SCAN_POINTS = 4096

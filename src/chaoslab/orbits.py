@@ -11,6 +11,7 @@ callers that emit results are expected to attach the search bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -210,6 +211,34 @@ def _minimal_period_orbits(
     return mat[kept], residual[kept]
 
 
+def _check_max_period(max_period: int) -> None:
+    if not 1 <= max_period <= 20:
+        raise ValueError(f"max_period must be in [1, 20], got {max_period!r}")
+
+
+def _orbits_by_period(
+    params: EconomyParams,
+    interval: TrappingInterval,
+    scans: Iterable[tuple[int, int]],
+    eps_root: float,
+) -> Iterator[list[PeriodicOrbit]]:
+    """Minimal-period-n orbits for each (n, n_points) scan, one list per n.
+
+    Lazy: each list is built when it is asked for, sorted by smallest
+    price, so a caller that stops iterating skips the remaining scans.
+    """
+    f = price_map(params)
+    df = price_map_derivative(params)
+    for n, n_points in scans:
+        mat, residual = _minimal_period_orbits(
+            f, df, interval.a, interval.b, n, n_points, eps_root
+        )
+        yield [
+            PeriodicOrbit(period=n, points=tuple(float(x) for x in row), residual=float(res))
+            for row, res in zip(mat, residual)
+        ]
+
+
 def find_periodic_orbits(
     params: EconomyParams,
     interval: TrappingInterval,
@@ -236,21 +265,13 @@ def find_periodic_orbits(
     reported, because at that parameter they are indistinguishable from a
     true cycle at this tolerance.
     """
-    if not 1 <= max_period <= 20:
-        raise ValueError(f"max_period must be in [1, 20], got {max_period!r}")
-    f = price_map(params)
-    df = price_map_derivative(params)
-    found: list[PeriodicOrbit] = []
-    for n in range(1, max_period + 1):
-        mat, residual = _minimal_period_orbits(
-            f, df, interval.a, interval.b, n, grid_base * n, eps_root
-        )
-        for row, res in zip(mat, residual):
-            found.append(
-                PeriodicOrbit(period=n, points=tuple(float(x) for x in row), residual=float(res))
-            )
-    found.sort(key=lambda orb: (orb.period, orb.points[0]))
-    return found
+    _check_max_period(max_period)
+    scans = ((n, grid_base * n) for n in range(1, max_period + 1))
+    return [
+        orbit
+        for orbits in _orbits_by_period(params, interval, scans, eps_root)
+        for orbit in orbits
+    ]
 
 
 def find_odd_cycle(
@@ -263,16 +284,21 @@ def find_odd_cycle(
 ) -> PeriodicOrbit | None:
     """Smallest odd-minimal-period orbit (period >= 3) up to max_period.
 
-    None means no such orbit was located within the scanned grids -- not a
-    proof of non-existence.
+    The odd periods 3, 5, ... are scanned in increasing order, with the
+    grids of find_periodic_orbits, and the search stops at the first period
+    that yields an orbit; its orbit with the smallest first point is
+    returned.  The minimality filter for period n only consults divisors of
+    n, all odd, so skipping the even periods changes no answer, and
+    max_period is an upper bound on the scan, not a period that is always
+    reached.  None means no such orbit was located within the scanned
+    grids -- not a proof of non-existence.
     """
-    orbits = find_periodic_orbits(
-        params, interval, max_period, eps_root=eps_root, grid_base=grid_base
-    )
-    odd = [o for o in orbits if o.period >= 3 and o.period % 2 == 1]
-    if not odd:
-        return None
-    return min(odd, key=lambda o: (o.period, o.points[0]))
+    _check_max_period(max_period)
+    scans = ((n, grid_base * n) for n in range(3, max_period + 1, 2))
+    for orbits in _orbits_by_period(params, interval, scans, eps_root):
+        if orbits:
+            return orbits[0]
+    return None
 
 
 def find_turbulence_witness(
@@ -335,13 +361,5 @@ def search_period3(
     is not settled, so both outcomes are acceptable and nothing beyond the
     residual bound is asserted about the result.
     """
-    f = price_map(params)
-    df = price_map_derivative(params)
-    mat, residual = _minimal_period_orbits(
-        f, df, interval.a, interval.b, 3, n_scan, eps_root
-    )
-    if mat.shape[0] == 0:
-        return None
-    return PeriodicOrbit(
-        period=3, points=tuple(float(x) for x in mat[0]), residual=float(residual[0])
-    )
+    orbits = next(_orbits_by_period(params, interval, [(3, n_scan)], eps_root))
+    return orbits[0] if orbits else None

@@ -19,6 +19,8 @@ import numpy as np
 _BISECT_ITERS = 40
 #: Newton polish budget per root
 _NEWTON_ITERS = 50
+#: cap on bisect_many halvings; enough to shrink any bracket below one ulp
+_BISECT_MANY_MAX_ITERS = 80
 
 
 def refine_root(
@@ -103,25 +105,23 @@ def scan_roots(
     lo: float,
     hi: float,
     n: int,
-    *,
-    vectorized: bool = True,
 ) -> list[float]:
     """All sign-change roots of func on [lo, hi], scanned on an n-point grid.
 
-    func must accept numpy arrays when vectorized=True (the default); roots
-    are refined one bracket at a time and returned in increasing order.
-    Tangencies (no sign change) are invisible to the scan, by design.
+    func must accept numpy arrays; roots are refined one bracket at a time
+    and returned in increasing order.  Tangencies (no sign change) are
+    invisible to the scan, by design.
     """
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     xs = np.linspace(lo, hi, n)
-    vals = func(xs) if vectorized else np.array([func(float(x)) for x in xs])
+    vals = func(xs)
     roots: list[float] = []
     for blo, bhi in grid_brackets(vals, xs):
         if blo == bhi:
             roots.append(blo)
         else:
-            scalar = (lambda x: float(func(np.float64(x)))) if vectorized else func
+            scalar = lambda x: float(func(np.float64(x)))
             roots.append(refine_root(scalar, dfunc, blo, bhi))
     return roots
 
@@ -130,26 +130,31 @@ def bisect_many(
     func: Callable[[np.ndarray], np.ndarray],
     los: np.ndarray,
     his: np.ndarray,
-    *,
-    iters: int = 80,
 ) -> np.ndarray:
     """Vectorized bisection of many brackets at once.
 
-    80 halvings shrink any bracket to well below one ulp of its endpoints,
-    so the midpoint returned is the float nearest the root that the sign
-    structure allows.  Used by the dense periodic-orbit scans where
-    thousands of brackets are live at the same time.
+    Up to 80 halvings shrink any bracket to well below one ulp of its
+    endpoints, so the midpoint returned is the float nearest the root that
+    the sign structure allows.  The loop stops early (after about 40
+    halvings on the orbit scans) once a halving moves no bracket: func is
+    deterministic and elementwise, so flos is always func(los), every
+    further halving would repeat that one, and the result equals that of
+    all 80.  Used by the dense periodic-orbit scans where thousands of
+    brackets are live at the same time.
     """
     los = los.astype(float).copy()
     his = his.astype(float).copy()
     flos = func(los)
-    for _ in range(iters):
+    for _ in range(_BISECT_MANY_MAX_ITERS):
         mids = 0.5 * (los + his)
         fmids = func(mids)
         take_left = flos * fmids <= 0.0
-        his = np.where(take_left, mids, his)
-        los = np.where(take_left, los, mids)
+        new_his = np.where(take_left, mids, his)
+        new_los = np.where(take_left, los, mids)
         flos = np.where(take_left, flos, fmids)
+        if np.array_equal(new_los, los) and np.array_equal(new_his, his):
+            break
+        los, his = new_los, new_his
     return 0.5 * (los + his)
 
 

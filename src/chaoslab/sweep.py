@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,9 +221,11 @@ def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _eval_chunk(chunk, methods, eps_cmp, eps_root):
+def _eval_chunk(chunk, methods, eps_cmp, eps_root, pi_scan):
     return [
-        evaluate_cell(alpha, beta, lam, methods, eps_cmp=eps_cmp, eps_root=eps_root)
+        evaluate_cell(
+            alpha, beta, lam, methods, eps_cmp=eps_cmp, eps_root=eps_root, pi_scan=pi_scan
+        )
         for alpha, beta, lam in chunk
     ]
 
@@ -235,16 +236,21 @@ def run_sweep(
     jobs: int = 1,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
+    pi_scan: int = PI_SCAN_POINTS,
 ) -> list[SweepRow]:
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
-    With jobs > 1, cells are chunked onto worker processes; chunks are
-    merged back in submission order so the row order (and any emitted
-    file) is identical to a serial run.
+    pi_scan is the confined-set scan density handed to the numerical
+    classifier of every cell.  With jobs > 1, cells are chunked onto worker
+    processes; chunks are merged back in submission order so the row order
+    (and any emitted file) is identical to a serial run.
     """
     cells = _cells(config)
     if jobs <= 1 or len(cells) < 64:
-        return _eval_chunk(cells, config.methods, eps_cmp, eps_root)
+        return _eval_chunk(cells, config.methods, eps_cmp, eps_root, pi_scan)
+    # imported here so that serial sweeps and every other command skip the cost
+    from concurrent.futures import ProcessPoolExecutor
+
     n_chunks = min(len(cells), jobs * 8)
     chunks = [cells[i::n_chunks] for i in range(n_chunks)]
     ordered: list[list[SweepRow]]
@@ -256,6 +262,7 @@ def run_sweep(
                 [config.methods] * n_chunks,
                 [eps_cmp] * n_chunks,
                 [eps_root] * n_chunks,
+                [pi_scan] * n_chunks,
             )
         )
     # interleaved chunks ([i::n]) are merged back by round-robin to restore order

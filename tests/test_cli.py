@@ -239,6 +239,22 @@ class TestSweep:
         )
         assert code == EXIT_CANTCREAT
 
+    def test_grid_density_recorded_in_metadata(self, capsys):
+        argv = (
+            "sweep",
+            "--alpha-lo", "0.75", "--alpha-hi", "0.75", "--alpha-count", "1",
+            "--beta-lo", "0.5", "--beta-hi", "0.5", "--beta-count", "1",
+            "--lambda-count", "1",
+        )
+        meta = {}
+        for density in ("8192", "16"):
+            code, out, _ = run_cli(capsys, *argv, "--grid-density", density)
+            assert code == EXIT_OK
+            meta[density] = [ln for ln in out.splitlines() if ln.startswith("#")]
+        tail = "gate_grid=256 eps_cmp=1e-12 eps_root=1e-10"
+        assert f"# grid_density=8192 pi_scan=4096 {tail}" in meta["8192"]
+        assert f"# grid_density=16 pi_scan=8 {tail}" in meta["16"]
+
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_JOBS", "2")
         code, out, _ = run_cli(

@@ -155,6 +155,11 @@ class TestFindOddCycle:
         for params in random_window_params(seed=555, count=12):
             iv = trapping_interval(params)
             orbit = find_odd_cycle(params, iv, 9)
+            # the early-exit scan must return the full scan's smallest odd orbit
+            odd = [
+                o for o in find_periodic_orbits(params, iv, 9) if o.period % 2 == 1 and o.period >= 3
+            ]
+            assert orbit == min(odd, key=lambda o: (o.period, o.points[0]), default=None), params
             if orbit is not None:
                 assert classify_closed_form(params).odd_cycle, params
 

@@ -137,6 +137,19 @@ class TestRunSweep:
         config = _config()
         assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
 
+    def test_pi_scan_reaches_every_cell(self):
+        # 64 cells or more take the worker-process path when jobs > 1
+        config = _config(
+            alpha_range=(0.1, 0.1, 1),
+            beta_range=(0.1, 0.1, 1),
+            lambda_spec=LambdaSpec(kind="window", count=64),
+        )
+        rows = run_sweep(config, pi_scan=8)
+        want = [evaluate_cell(r.alpha, r.beta, r.lam, config.methods, pi_scan=8) for r in rows]
+        assert rows == want
+        assert run_sweep(config, jobs=2, pi_scan=8) == want
+        assert rows != run_sweep(config)
+
     def test_onset_ratio_constant_across_alpha(self):
         # lambda_chaos / lambda_max = 25/36 independently of (alpha, beta)
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.5, 0.5, 1))
