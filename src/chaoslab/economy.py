@@ -29,14 +29,19 @@ operates.  Two interior thresholds subdivide the window:
                    iterate (at or above).
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.
+concurrently.  The formulas behind thresholds, the trapping interval and
+the map itself also take a `Cells` chunk of parameter arrays, with the
+same arithmetic in the same order, so a cell of a chunk gets the bits it
+would get on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 #: absolute tolerance for comparisons against analytic thresholds
 EPS_CMP = 1e-12
@@ -88,6 +93,27 @@ class EconomyParams:
             raise ValueError(f"beta must lie strictly in (0, 1), got {self.beta!r}")
         if not self.lam > 0.0 or math.isinf(self.lam):
             raise ValueError(f"lam must be a positive finite real, got {self.lam!r}")
+
+
+class Cells(NamedTuple):
+    """A chunk of parameter cells: alpha, beta and lam as equal-shape float arrays.
+
+    Stands in for EconomyParams wherever a formula reads only those three
+    fields (`price_map`, `price_map_derivative`), evaluating it cell by
+    cell.  Cells are not validated; build them from EconomyParams.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[EconomyParams]) -> Cells:
+        return cls(
+            np.array([p.alpha for p in params], dtype=float),
+            np.array([p.beta for p in params], dtype=float),
+            np.array([p.lam for p in params], dtype=float),
+        )
 
 
 @dataclass(frozen=True)
@@ -145,23 +171,40 @@ def critical_point(params: EconomyParams) -> float:
     return math.sqrt(2.0 * params.lam * params.beta)
 
 
-def thresholds(params: EconomyParams) -> ThresholdSet:
-    """The four lambda thresholds, computed exactly as written (no rearrangement)."""
-    denom = (1.0 - params.alpha) ** 2
-    return ThresholdSet(
-        lambda_g_low=params.beta / (8.0 * denom),
-        lambda_pi=9.0 * params.beta / (32.0 * denom),
-        lambda_chaos=25.0 * params.beta / (72.0 * denom),
-        lambda_max=params.beta / (2.0 * denom),
+def _threshold_values(alpha, beta):
+    # np.float_power is libm pow, as float ** 2 is; numpy's array ** 2 squares,
+    # which rounds differently for about one input in a thousand
+    denom = np.float_power(1.0 - alpha, 2.0)
+    return (
+        beta / (8.0 * denom),
+        9.0 * beta / (32.0 * denom),
+        25.0 * beta / (72.0 * denom),
+        beta / (2.0 * denom),
     )
 
 
-def trapping_interval(params: EconomyParams) -> TrappingInterval:
-    """Build E = [f(m), f(f(m)) + m] around the critical point m.
+def thresholds(params: EconomyParams) -> ThresholdSet:
+    """The four lambda thresholds, computed exactly as written (no rearrangement)."""
+    return ThresholdSet(*map(float, _threshold_values(params.alpha, params.beta)))
 
-    Refuses (rather than clamps) when lam is at or outside the window
-    bounds, since the interval degenerates there: f(m) = m at the lower
-    bound, f(m) = 0 at the upper.  The error names the violated bound.
+
+def cell_thresholds(cells: Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`thresholds` of every cell: lambda_g_low, lambda_pi, lambda_chaos, lambda_max arrays.
+
+    Raises the ValueError of `ThresholdSet` for the first cell out of order.
+    """
+    th = _threshold_values(cells.alpha, cells.beta)
+    ordered = (th[0] < th[1]) & (th[1] < th[2]) & (th[2] < th[3])
+    if not ordered.all():
+        ThresholdSet(*(float(t[np.argmin(ordered)]) for t in th))
+    return th
+
+
+def require_window(params: EconomyParams) -> ThresholdSet:
+    """The thresholds, once lam is checked to lie strictly inside the window.
+
+    Raises WindowError naming the violated bound: the interval E
+    degenerates at the bounds, f(m) = m at the lower, f(m) = 0 at the upper.
     """
     th = thresholds(params)
     if params.lam <= th.lambda_g_low:
@@ -176,17 +219,51 @@ def trapping_interval(params: EconomyParams) -> TrappingInterval:
             bound="lambda_max",
             bound_value=th.lambda_max,
         )
-    m = critical_point(params)
-    a = step(params, m)
-    b = step(params, a) + m
-    return TrappingInterval(a=a, m=m, b=b)
+    return th
 
 
-def price_map(params: EconomyParams) -> Callable:
+def trapping_interval(params: EconomyParams) -> TrappingInterval:
+    """Build E = [f(m), f(f(m)) + m] around the critical point m.
+
+    Refuses (rather than clamps) when lam is at or outside the window
+    bounds, since the interval degenerates there: f(m) = m at the lower
+    bound, f(m) = 0 at the upper.  The error names the violated bound.
+    """
+    require_window(params)
+    a, m, b = cell_intervals(params)
+    return TrappingInterval(a=float(a), m=float(m), b=float(b))
+
+
+def cell_intervals(cells: Cells | EconomyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`trapping_interval` of every cell, as (a, m, b) arrays, for lam inside the window.
+
+    Given one EconomyParams, the three are numpy scalars.  The window
+    itself is not checked here.  The first cell with a non-positive m or a
+    raises DomainError, as `step` would; the first degenerate one the
+    ValueError of TrappingInterval.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.sqrt(2.0 * cells.lam * cells.beta)  # rounds as math.sqrt does
+        f = price_map(cells)
+        a = f(m)
+        b = f(a) + m
+    proper = (m > 0.0) & (a > 0.0) & (a < m) & (m < b)
+    if not proper.all():
+        i = np.argmin(proper)
+        a_i, m_i, b_i = (float(np.atleast_1d(v)[i]) for v in (a, m, b))
+        for p in (m_i, a_i):
+            if not p > 0.0:
+                raise DomainError(f"price must be positive, got {p!r}")
+        TrappingInterval(a=a_i, m=m_i, b=b_i)
+    return a, m, b
+
+
+def price_map(params: EconomyParams | Cells) -> Callable:
     """The map f as a bare callable, valid for scalars and numpy arrays.
 
     No positivity check is performed; intended for grid evaluation on
-    intervals already known to be positive.
+    intervals already known to be positive.  For Cells, the result is
+    element-wise over p broadcast against the cell arrays.
     """
     two_beta = 2.0 * params.beta
     c = 4.0 * (1.0 - params.alpha)
@@ -198,8 +275,8 @@ def price_map(params: EconomyParams) -> Callable:
     return f
 
 
-def price_map_derivative(params: EconomyParams) -> Callable:
-    """f'(p) = 1 - 2*lam*beta/p**2, for scalars and numpy arrays."""
+def price_map_derivative(params: EconomyParams | Cells) -> Callable:
+    """f'(p) = 1 - 2*lam*beta/p**2, for scalars and numpy arrays (and Cells, as price_map)."""
     two_lam_beta = 2.0 * params.lam * params.beta
 
     def df(p):

@@ -31,16 +31,18 @@ import numpy as np
 from .economy import (
     EPS_CMP,
     EPS_ROOT,
+    Cells,
     ConsistencyError,
     EconomyParams,
     TrappingInterval,
-    WindowError,
+    cell_thresholds,
     critical_point,
     price_map,
     price_map_derivative,
+    require_window,
     thresholds,
 )
-from .rootfind import dedupe_sorted, scan_roots
+from .rootfind import REFINE_LOOP_BELOW, dedupe_sorted, refine_root, refine_roots, scan_brackets
 
 #: default scan density for the Pi-set safety net on [a, m]
 PI_SCAN_POINTS = 4096
@@ -138,22 +140,6 @@ class EndpointGapReport:
     square_form: float
 
 
-def _require_window(params: EconomyParams) -> None:
-    th = thresholds(params)
-    if params.lam <= th.lambda_g_low:
-        raise WindowError(
-            f"lambda <= lambda_g_low = {th.lambda_g_low!r} (got lambda = {params.lam!r})",
-            bound="lambda_g_low",
-            bound_value=th.lambda_g_low,
-        )
-    if params.lam >= th.lambda_max:
-        raise WindowError(
-            f"lambda >= lambda_max = {th.lambda_max!r} (got lambda = {params.lam!r})",
-            bound="lambda_max",
-            bound_value=th.lambda_max,
-        )
-
-
 def gate_check(
     params: EconomyParams,
     interval: TrappingInterval,
@@ -169,38 +155,80 @@ def gate_check(
     the self-map condition on a closed grid with an eps_cmp-scaled slack
     that absorbs float noise near the minimum, where f(x) ~ a.
     """
+    a, m, b = (np.array([v]) for v in (interval.a, interval.m, interval.b))
+    return gate_reports([params], a, m, b, n_grid, eps_cmp)[0]
+
+
+def gate_reports(
+    params: list[EconomyParams],
+    a: np.ndarray,
+    m: np.ndarray,
+    b: np.ndarray,
+    n_grid: int,
+    eps_cmp: float,
+) -> list[GateReport]:
+    """`gate_check` of every cell of a chunk; a, m and b are the cells' intervals.
+
+    The grids are (cells x n_grid) arrays, so memory grows with the chunk.
+    """
     if n_grid < 100:
         raise ValueError(f"n_grid must be >= 100, got {n_grid}")
-    a, m, b = interval.a, interval.m, interval.b
-    f = price_map(params)
-    df = price_map_derivative(params)
+    # each cell's parameters as a column against its row of grid points
+    columns = Cells(*(v[:, None] for v in Cells.of(params)))
+    f = price_map(columns)
+    df = price_map_derivative(columns)
 
+    xs = _grid_rows(m, b, n_grid, endpoint=False)  # [m, b)
+    below_gap = xs - f(xs)
+
+    left = _grid_rows(a, m, n_grid, endpoint=False)  # [a, m)
+    right = _grid_rows(m, b, n_grid + 1, endpoint=True)[:, 1:]  # (m, b]
+    unimodal = (df(left) < 0.0).all(axis=-1) & (df(right) > 0.0).all(axis=-1)
+
+    vals = f(_grid_rows(a, b, n_grid, endpoint=True))
+    return [
+        _gate_report(*cell, eps_cmp)
+        for cell in zip(
+            params, a.tolist(), m.tolist(), b.tolist(),
+            (below_gap > 0.0).all(axis=-1).tolist(), below_gap.min(axis=-1).tolist(),
+            unimodal.tolist(), vals.max(axis=-1).tolist(), vals.min(axis=-1).tolist(),
+        )
+    ]
+
+
+def _gate_report(
+    params, a, m, b, below_diagonal, below_min, unimodal, vals_max, vals_min, eps_cmp
+) -> GateReport:
+    # one cell, on Python floats, from the reductions of its grid rows
+    f = price_map(params)
     fa = float(f(a))
     fb = float(f(b))
     cond_endpoints = fa > a and fb < b
-
-    xs = np.linspace(m, b, n_grid, endpoint=False)  # [m, b)
-    below_gap = xs - f(xs)
-    cond_below_diagonal = bool(np.all(below_gap > 0.0))
-
-    left = np.linspace(a, m, n_grid, endpoint=False)  # [a, m)
-    right = np.linspace(m, b, n_grid + 1)[1:]  # (m, b]
-    cond_unimodal = bool(np.all(df(left) < 0.0) and np.all(df(right) > 0.0))
-
-    grid = np.linspace(a, b, n_grid)
-    vals = f(grid)
     slack = eps_cmp * max(1.0, b)
-    cond_self_map = bool(vals.max() <= b + slack and vals.min() >= a - slack)
-
-    margin = min(fa - a, b - fb, float(below_gap.min()))
+    cond_self_map = vals_max <= b + slack and vals_min >= a - slack
     return GateReport(
-        in_class_g=cond_endpoints and cond_below_diagonal and cond_unimodal and cond_self_map,
+        in_class_g=cond_endpoints and below_diagonal and unimodal and cond_self_map,
         cond_endpoints=cond_endpoints,
-        cond_below_diagonal=cond_below_diagonal,
-        cond_unimodal=cond_unimodal,
+        cond_below_diagonal=below_diagonal,
+        cond_unimodal=unimodal,
         cond_self_map=cond_self_map,
-        margin=margin,
+        margin=min(fa - a, b - fb, below_min),
     )
+
+
+def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int, *, endpoint: bool) -> np.ndarray:
+    """Row i is np.linspace(start[i], stop[i], n, endpoint=endpoint), bit for bit."""
+    div = n - 1 if endpoint else n
+    delta = stop - start
+    step = delta / div
+    ramp = np.arange(n, dtype=float)
+    rows = ramp * step[:, None] + start[:, None]
+    if not step.all():  # linspace scales by delta last when the step underflows to 0
+        flat = step == 0.0
+        rows[flat] = (ramp / div) * delta[flat, None] + start[flat, None]
+    if endpoint and n > 1:
+        rows[:, -1] = stop
+    return rows
 
 
 def fixed_point(params: EconomyParams) -> float:
@@ -221,19 +249,20 @@ def _second_iterate_funcs(params: EconomyParams):
     return F, dF
 
 
-def _polish_period2(params: EconomyParams, x: float) -> float:
-    # guarded Newton on f(f(x)) - x; keeps the best residual seen
-    F, dF = _second_iterate_funcs(params)
-    best_x, best_f = x, abs(F(x))
+def _polish_period2(F, dF, x: float) -> float:
+    # guarded Newton on F(x) = f(f(x)) - x; keeps the best residual seen
+    fx = F(x)
+    best_x, best_f = x, abs(fx)
     for _ in range(50):
         d = dF(x)
         if d == 0.0 or not math.isfinite(d):
             break
-        nxt = x - F(x) / d
+        nxt = x - fx / d
         if not nxt > 0.0 or nxt == x:
             break
         x = nxt
-        r = abs(F(x))
+        fx = F(x)
+        r = abs(fx)
         if r < best_f:
             best_x, best_f = x, r
         else:
@@ -255,8 +284,9 @@ def period2_points(params: EconomyParams) -> tuple[float, float] | None:
         return None
     root = math.sqrt(disc)
     center = 2.0 * params.lam * one_minus_alpha
-    w1 = _polish_period2(params, center - root)
-    w2 = _polish_period2(params, center + root)
+    F, dF = _second_iterate_funcs(params)
+    w1 = _polish_period2(F, dF, center - root)
+    w2 = _polish_period2(F, dF, center + root)
     return (w1, w2) if w1 <= w2 else (w2, w1)
 
 
@@ -277,34 +307,67 @@ def pi_set(
     qualifies inside the window, so an empty result signals a numerics bug
     and raises.
     """
-    a, m = interval.a, interval.m
-    f = price_map(params)
-    F, dF = _second_iterate_funcs(params)
+    a, m = np.array([interval.a]), np.array([interval.m])
+    return pi_sets([params], a, m, [period2_points(params)], eps_root, n_scan)[0]
 
-    candidates = [fixed_point(params)]
-    pair = period2_points(params)
-    if pair is not None:
-        candidates.extend(pair)
-    candidates.extend(scan_roots(F, dF, a, m, n_scan))
 
-    slack = eps_root
-    kept = []
-    for x in sorted(candidates):
-        if not (a - slack <= x <= m + slack):
-            continue
-        fx = float(f(x))
-        if not (a - slack <= fx <= m + slack):
-            continue
-        if abs(float(F(x))) > eps_root:
-            continue
-        kept.append(x)
-    merged = dedupe_sorted(kept, 10.0 * eps_root)
-    if not merged:
-        raise ConsistencyError(
-            "no confined period <= 2 point found although the fixed point "
-            f"must qualify inside the window (params={params!r})"
-        )
-    return PiSet(points=tuple(merged))
+def pi_sets(
+    params: list[EconomyParams],
+    a: np.ndarray,
+    m: np.ndarray,
+    pairs: list[tuple[float, float] | None],
+    eps_root: float,
+    n_scan: int,
+) -> list[PiSet]:
+    """`pi_set` of every cell of a chunk, given its intervals and `period2_points`.
+
+    Each cell's safety-net scan runs on its own grid, with scalar
+    parameters; the brackets of all cells are then refined together.
+    """
+    funcs = [_second_iterate_funcs(p) for p in params]
+    owner: list[int] = []
+    brackets: list[tuple[float, float]] = []
+    for i, ((F, _), a_p, m_p) in enumerate(zip(funcs, a.tolist(), m.tolist())):
+        found = scan_brackets(F, a_p, m_p, n_scan)
+        owner += [i] * len(found)
+        brackets += found
+    if len(brackets) < REFINE_LOOP_BELOW:
+        # what refine_roots does at this size, with each cell's own closures
+        roots = [refine_root(*funcs[i], lo, hi) for i, (lo, hi) in zip(owner, brackets)]
+    else:
+        # one masked pass over every cell's brackets: bracket j evaluates the
+        # map of its own cell, so these closures take arrays only
+        rows = np.array(owner, dtype=np.intp)
+        F_all, dF_all = _second_iterate_funcs(Cells(*(v[rows] for v in Cells.of(params))))
+        los, his = np.array(brackets).T
+        roots = refine_roots(F_all, dF_all, los, his).tolist()
+    scanned: list[list[float]] = [[] for _ in params]
+    for i, x in zip(owner, roots):
+        scanned[i].append(x)
+
+    out = []
+    for p, (F, _), a_p, m_p, pair, xs in zip(params, funcs, a.tolist(), m.tolist(), pairs, scanned):
+        f = price_map(p)
+        candidates = [fixed_point(p), *(pair or ()), *xs]
+        slack = eps_root
+        kept = []
+        for x in sorted(candidates):
+            if not (a_p - slack <= x <= m_p + slack):
+                continue
+            fx = float(f(x))
+            if not (a_p - slack <= fx <= m_p + slack):
+                continue
+            if abs(float(F(x))) > eps_root:
+                continue
+            kept.append(x)
+        merged = dedupe_sorted(kept, 10.0 * eps_root)
+        if not merged:
+            raise ConsistencyError(
+                "no confined period <= 2 point found although the fixed point "
+                f"must qualify inside the window (params={p!r})"
+            )
+        out.append(PiSet(points=tuple(merged)))
+    return out
 
 
 def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> ChaosVerdict:
@@ -315,27 +378,45 @@ def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> 
     to lambda_max.  The f2/f3/pi fields are filled from the closed-form
     expressions for audit; the verdicts depend only on the thresholds.
     """
-    _require_window(params)
-    th = thresholds(params)
-    m = critical_point(params)
+    th = require_window(params)
+    return _closed_form_verdict(
+        params, th.lambda_chaos, th.lambda_max, critical_point(params),
+        period2_points(params), eps_cmp,
+    )
+
+
+def closed_form_verdicts(
+    params: list[EconomyParams],
+    m: np.ndarray,
+    pairs: list[tuple[float, float] | None],
+    eps_cmp: float,
+) -> list[ChaosVerdict]:
+    """`classify_closed_form` of every cell of a chunk, all inside their windows.
+
+    m holds the cells' critical points, pairs their `period2_points`.
+    """
+    _, _, lambda_chaos, lambda_max = cell_thresholds(Cells.of(params))
+    return [
+        _closed_form_verdict(*cell, eps_cmp)
+        for cell in zip(params, lambda_chaos.tolist(), lambda_max.tolist(), m.tolist(), pairs)
+    ]
+
+
+def _closed_form_verdict(params, lambda_chaos, lambda_max, m, pair, eps_cmp) -> ChaosVerdict:
+    # one cell, on Python floats: as arrays this costs a lone call three times more
     f = price_map(params)
     a = float(f(m))
     f2m = float(f(a))
     f3m = float(f(f2m))
-
-    z = fixed_point(params)
-    pts = [z]
-    pair = period2_points(params)
+    pts = [fixed_point(params)]
     if pair is not None:
         for w in pair:
             if a <= w <= m and a <= float(f(w)) <= m:
                 pts.append(w)
-
-    odd = params.lam > th.lambda_chaos + eps_cmp and params.lam < th.lambda_max
-    turbulent = params.lam >= th.lambda_chaos - eps_cmp and params.lam < th.lambda_max
+    lam = params.lam
     return ChaosVerdict(
-        odd_cycle=odd,
-        turbulent_second_iterate=turbulent,
+        odd_cycle=lam > lambda_chaos + eps_cmp and lam < lambda_max,
+        turbulent_second_iterate=lam >= lambda_chaos - eps_cmp and lam < lambda_max,
         f2_of_m=f2m,
         f3_of_m=f3m,
         pi_max=max(pts),
@@ -359,11 +440,25 @@ def classify_numerical(
     eps_cmp of a threshold the verdict is unreliable (floating point
     cannot resolve equality); the verify suite excludes that band.
     """
+    pi = pi_set(params, interval, eps_root=eps_root, n_scan=n_scan)
+    return _numerical_verdict(params, interval.m, pi, eps_cmp)
+
+
+def numerical_verdicts(
+    params: list[EconomyParams],
+    m: np.ndarray,
+    pis: list[PiSet],
+    eps_cmp: float,
+) -> list[ChaosVerdict]:
+    """`classify_numerical` of every cell of a chunk, from its m and `pi_sets`."""
+    return [_numerical_verdict(p, mi, pi, eps_cmp) for p, mi, pi in zip(params, m.tolist(), pis)]
+
+
+def _numerical_verdict(params, m, pi, eps_cmp) -> ChaosVerdict:
+    # one cell, on Python floats, as _closed_form_verdict
     f = price_map(params)
-    m = interval.m
     f2m = float(f(f(m)))
     f3m = float(f(f2m))
-    pi = pi_set(params, interval, eps_root=eps_root, n_scan=n_scan)
     expands = f2m > m + eps_cmp
     return ChaosVerdict(
         odd_cycle=expands and f3m > pi.high + eps_cmp,
@@ -399,7 +494,7 @@ def third_iterate_factor_report(
     routes beyond tol raises ConsistencyError.  When lam > lambda_pi the
     fixed point is max(Pi), making the gap the margin of the odd-cycle test.
     """
-    _require_window(params)
+    require_window(params)
     f = price_map(params)
     m = critical_point(params)
     z = fixed_point(params)
@@ -419,7 +514,7 @@ def third_iterate_factor_report(
 
 def endpoint_gap_report(params: EconomyParams) -> EndpointGapReport:
     """Audit the left-endpoint gap f(a) - a and its closed forms."""
-    _require_window(params)
+    require_window(params)
     f = price_map(params)
     m = critical_point(params)
     a = float(f(m))

@@ -8,6 +8,12 @@ spacing puts every cell where the classification is defined instead of
 wasting grid on inadmissible speeds.  Cells outside the window keep their
 threshold columns but leave every verdict column blank -- blank, not
 false -- so downstream plots stay honest.
+
+Cells are evaluated CHUNK_CELLS at a time: thresholds, intervals and gate
+grids as arrays over the chunk, and the Pi-set brackets of all its cells
+refined in one pass.  Every row is bit for bit the row its cell gets on
+its own (`evaluate_cell` is a one-cell chunk), so chunking never shows in
+the output.
 """
 
 from __future__ import annotations
@@ -23,14 +29,27 @@ from . import __version__
 from .economy import (
     EPS_CMP,
     EPS_ROOT,
+    Cells,
     EconomyParams,
+    cell_intervals,
+    cell_thresholds,
     thresholds,
-    trapping_interval,
 )
-from .gate import PI_SCAN_POINTS, Method, classify_closed_form, classify_numerical, gate_check
+from .gate import (
+    PI_SCAN_POINTS,
+    Method,
+    classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
+    closed_form_verdicts,
+    gate_reports,
+    numerical_verdicts,
+    period2_points,
+    pi_sets,
+)
 
 #: grid density used for the admissibility check inside sweeps
 SWEEP_GATE_GRID = 256
+#: cells evaluated together as arrays; bounds each gate grid at CHUNK_CELLS x (SWEEP_GATE_GRID + 1)
+CHUNK_CELLS = 64
 
 CSV_COLUMNS = (
     "alpha",
@@ -153,61 +172,7 @@ def evaluate_cell(
     pi_scan: int = PI_SCAN_POINTS,
 ) -> SweepRow:
     """Classify one grid cell; outside the window all verdict columns are None."""
-    params = EconomyParams(alpha=alpha, beta=beta, lam=lam)
-    th = thresholds(params)
-    base = dict(
-        alpha=params.alpha,
-        beta=params.beta,
-        lam=params.lam,
-        lambda_g_low=th.lambda_g_low,
-        lambda_pi=th.lambda_pi,
-        lambda_chaos=th.lambda_chaos,
-        lambda_max=th.lambda_max,
-    )
-    if not th.lambda_g_low < lam < th.lambda_max:
-        return SweepRow(
-            **base,
-            in_class_g=False,
-            f2_of_m=None,
-            f3_of_m=None,
-            pi_max=None,
-            odd_cycle_cf=None,
-            turbulent_cf=None,
-            odd_cycle_num=None,
-            turbulent_num=None,
-            agree=None,
-        )
-    interval = trapping_interval(params)
-    gate = gate_check(params, interval, gate_grid, eps_cmp=eps_cmp)
-    cf = (
-        classify_closed_form(params, eps_cmp=eps_cmp)
-        if Method.CLOSED_FORM in methods
-        else None
-    )
-    num = (
-        classify_numerical(params, interval, eps_cmp=eps_cmp, eps_root=eps_root, n_scan=pi_scan)
-        if Method.NUMERICAL in methods
-        else None
-    )
-    audit = num if num is not None else cf
-    agree = None
-    if cf is not None and num is not None:
-        agree = (
-            cf.odd_cycle == num.odd_cycle
-            and cf.turbulent_second_iterate == num.turbulent_second_iterate
-        )
-    return SweepRow(
-        **base,
-        in_class_g=gate.in_class_g,
-        f2_of_m=audit.f2_of_m,
-        f3_of_m=audit.f3_of_m,
-        pi_max=audit.pi_max,
-        odd_cycle_cf=None if cf is None else cf.odd_cycle,
-        turbulent_cf=None if cf is None else cf.turbulent_second_iterate,
-        odd_cycle_num=None if num is None else num.odd_cycle,
-        turbulent_num=None if num is None else num.turbulent_second_iterate,
-        agree=agree,
-    )
+    return _eval_chunk([(alpha, beta, lam)], methods, eps_cmp, eps_root, pi_scan, gate_grid)[0]
 
 
 def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
@@ -221,13 +186,61 @@ def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _eval_chunk(chunk, methods, eps_cmp, eps_root, pi_scan):
-    return [
-        evaluate_cell(
-            alpha, beta, lam, methods, eps_cmp=eps_cmp, eps_root=eps_root, pi_scan=pi_scan
+def _eval_chunk(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID):
+    """Rows for the cells, in order, evaluated CHUNK_CELLS at a time as arrays."""
+    rows: list[SweepRow] = []
+    for start in range(0, len(cells), CHUNK_CELLS):
+        rows += _eval_cells(
+            cells[start:start + CHUNK_CELLS], methods, eps_cmp, eps_root, pi_scan, gate_grid
         )
-        for alpha, beta, lam in chunk
-    ]
+    return rows
+
+
+def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid) -> list[SweepRow]:
+    params = [EconomyParams(alpha=alpha, beta=beta, lam=lam) for alpha, beta, lam in cells]
+    chunk = Cells.of(params)
+    th = cell_thresholds(chunk)
+    inside = ((th[0] < chunk.lam) & (chunk.lam < th[3])).tolist()
+    window = [p for p, ok in zip(params, inside) if ok]
+    verdicts = iter(_window_verdicts(window, methods, eps_cmp, eps_root, pi_scan, gate_grid))
+
+    rows = []
+    for p, ok, *limits in zip(params, inside, *(t.tolist() for t in th)):
+        in_class_g, cf, num = next(verdicts) if ok else (False, None, None)
+        audit = num if num is not None else cf
+        rows.append(SweepRow(
+            p.alpha, p.beta, p.lam, *limits,
+            in_class_g=in_class_g,
+            f2_of_m=None if audit is None else audit.f2_of_m,
+            f3_of_m=None if audit is None else audit.f3_of_m,
+            pi_max=None if audit is None else audit.pi_max,
+            odd_cycle_cf=None if cf is None else cf.odd_cycle,
+            turbulent_cf=None if cf is None else cf.turbulent_second_iterate,
+            odd_cycle_num=None if num is None else num.odd_cycle,
+            turbulent_num=None if num is None else num.turbulent_second_iterate,
+            agree=None if cf is None or num is None else (
+                cf.odd_cycle == num.odd_cycle
+                and cf.turbulent_second_iterate == num.turbulent_second_iterate
+            ),
+        ))
+    return rows
+
+
+def _window_verdicts(params, methods, eps_cmp, eps_root, pi_scan, gate_grid):
+    """(in_class_g, closed-form verdict or None, numerical verdict or None) per cell."""
+    if not params:
+        return []
+    a, m, b = cell_intervals(Cells.of(params))
+    gates = gate_reports(params, a, m, b, gate_grid, eps_cmp)
+    pairs = [period2_points(p) for p in params]
+    none = [None] * len(params)
+    cfs = closed_form_verdicts(params, m, pairs, eps_cmp) if Method.CLOSED_FORM in methods else none
+    nums = (
+        numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root, pi_scan), eps_cmp)
+        if Method.NUMERICAL in methods
+        else none
+    )
+    return [(g.in_class_g, cf, num) for g, cf, num in zip(gates, cfs, nums)]
 
 
 def run_sweep(
@@ -241,9 +254,10 @@ def run_sweep(
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
     pi_scan is the confined-set scan density handed to the numerical
-    classifier of every cell.  With jobs > 1, cells are chunked onto worker
-    processes; chunks are merged back in submission order so the row order
-    (and any emitted file) is identical to a serial run.
+    classifier of every cell.  With jobs > 1, cells are dealt onto worker
+    processes, each evaluating its share in chunks like a serial run; the
+    shares are merged back in submission order so the row order (and any
+    emitted file) is identical to a serial run.
     """
     cells = _cells(config)
     if jobs <= 1 or len(cells) < 64:

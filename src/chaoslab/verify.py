@@ -26,7 +26,9 @@ import numpy as np
 from .economy import (
     EPS_CMP,
     EPS_ROOT,
+    Cells,
     EconomyParams,
+    cell_thresholds,
     critical_point,
     price_map,
     thresholds,
@@ -35,15 +37,15 @@ from .economy import (
 from .gate import (
     PI_SCAN_POINTS,
     EndpointGapReport,
+    Method,
     SecondIterateSignReport,
     endpoint_gap_report,
-    classify_closed_form,
-    classify_numerical,
     fixed_point,
     period2_points,
     second_iterate_sign_report,
 )
 from .orbits import find_periodic_orbits
+from .sweep import LambdaSpec, SweepConfig, _cells, _eval_chunk
 
 #: showcase parameters used for the informational notes
 NOTE_POINT = (0.75, 0.5, 3.61)
@@ -114,39 +116,37 @@ def check_agreement(
     eps_root: float = EPS_ROOT,
     pi_scan: int = PI_SCAN_POINTS,
 ) -> None:
-    """Closed-form vs numerical verdicts over the grid; disagreements collected."""
-    for alpha in np.linspace(0.05, 0.95, alpha_count):
-        for beta in np.linspace(0.05, 0.95, beta_count):
-            params0 = EconomyParams(alpha=float(alpha), beta=float(beta), lam=1.0)
-            th = thresholds(params0)
-            width = th.lambda_max - th.lambda_g_low
-            for j in range(lambda_count):
-                lam = th.lambda_g_low + (j + 0.5) / lambda_count * width
-                if abs(lam - th.lambda_chaos) <= eps_band * th.lambda_chaos:
-                    result.cells_skipped_band += 1
-                    continue
-                params = EconomyParams(alpha=float(alpha), beta=float(beta), lam=lam)
-                interval = trapping_interval(params)
-                cf = classify_closed_form(params, eps_cmp=eps_cmp)
-                num = classify_numerical(
-                    params, interval, eps_cmp=eps_cmp, eps_root=eps_root, n_scan=pi_scan
+    """Closed-form vs numerical verdicts over the grid; disagreements collected.
+
+    The grid is a window-relative sweep over [0.05, 0.95]^2; its cells
+    outside the onset band are classified by the sweep's chunk code.
+    """
+    config = SweepConfig(
+        alpha_range=(0.05, 0.95, alpha_count),
+        beta_range=(0.05, 0.95, beta_count),
+        lambda_spec=LambdaSpec(kind="window", count=lambda_count),
+    )
+    cells = _cells(config)
+    alpha, beta, lam = (np.array(v) for v in zip(*cells))
+    lambda_chaos = cell_thresholds(Cells(alpha, beta, lam))[2]
+    in_band = (np.abs(lam - lambda_chaos) <= eps_band * lambda_chaos).tolist()
+    kept = [cell for cell, band in zip(cells, in_band) if not band]
+    result.cells_skipped_band += len(cells) - len(kept)
+    rows = _eval_chunk(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root, pi_scan)
+    result.cells_checked += len(rows)
+    for row in rows:
+        if not row.agree:
+            result.disagreements.append(
+                Disagreement(
+                    alpha=row.alpha,
+                    beta=row.beta,
+                    lam=row.lam,
+                    odd_cf=row.odd_cycle_cf,
+                    odd_num=row.odd_cycle_num,
+                    turb_cf=row.turbulent_cf,
+                    turb_num=row.turbulent_num,
                 )
-                result.cells_checked += 1
-                if (
-                    cf.odd_cycle != num.odd_cycle
-                    or cf.turbulent_second_iterate != num.turbulent_second_iterate
-                ):
-                    result.disagreements.append(
-                        Disagreement(
-                            alpha=float(alpha),
-                            beta=float(beta),
-                            lam=lam,
-                            odd_cf=cf.odd_cycle,
-                            odd_num=num.odd_cycle,
-                            turb_cf=cf.turbulent_second_iterate,
-                            turb_num=num.turbulent_second_iterate,
-                        )
-                    )
+            )
 
 
 def check_factor_identity(result: VerifyResult, triples: list[EconomyParams]) -> None:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from chaoslab import (
     thresholds,
     trapping_interval,
 )
+from chaoslab.economy import Cells, cell_intervals, cell_thresholds
 
 from conftest import exact_orbit, exact_thresholds, random_window_params
 
@@ -222,3 +224,51 @@ class TestMapShape:
         for lam in (0.3, 0.9):
             p = EconomyParams(alpha=0.75, beta=0.5, lam=lam)
             assert step(p, critical_point(p)) >= critical_point(p)
+
+
+class TestCellArrays:
+    """Chunk forms against the scalar functions and the formulas as written."""
+
+    @staticmethod
+    def cells(count):
+        rng = np.random.default_rng(909)
+        out = []
+        for _ in range(count):
+            alpha, beta = float(rng.uniform(0.001, 0.999)), float(rng.uniform(0.001, 0.999))
+            th = thresholds(EconomyParams(alpha=alpha, beta=beta, lam=1.0))
+            lam = th.lambda_g_low + float(rng.uniform(0.01, 0.99)) * (th.lambda_max - th.lambda_g_low)
+            out.append(EconomyParams(alpha=alpha, beta=beta, lam=lam))
+        return out
+
+    def test_thresholds_match_written_formula_bit_for_bit(self):
+        params = self.cells(3000)
+        got = [t.tolist() for t in cell_thresholds(Cells.of(params))]
+        squares_differ = 0
+        for i, p in enumerate(params):
+            # float ** 2 is libm pow; an array's ** 2 squares, which differs now and then
+            denom = (1.0 - p.alpha) ** 2
+            squares_differ += denom != (1.0 - p.alpha) * (1.0 - p.alpha)
+            want = (p.beta / (8.0 * denom), 9.0 * p.beta / (32.0 * denom),
+                    25.0 * p.beta / (72.0 * denom), p.beta / (2.0 * denom))
+            th = thresholds(p)
+            assert (th.lambda_g_low, th.lambda_pi, th.lambda_chaos, th.lambda_max) == want
+            assert tuple(t[i] for t in got) == want
+        assert squares_differ > 0
+
+    def test_intervals_match_step_bit_for_bit(self):
+        params = self.cells(500)
+        a, m, b = (v.tolist() for v in cell_intervals(Cells.of(params)))
+        for i, p in enumerate(params):
+            m_p = math.sqrt(2.0 * p.lam * p.beta)
+            a_p = step(p, m_p)
+            want = (a_p, m_p, step(p, a_p) + m_p)
+            iv = trapping_interval(p)
+            assert (iv.a, iv.m, iv.b) == want == (a[i], m[i], b[i])
+
+    def test_first_bad_cell_raises_as_scalar(self):
+        good = EconomyParams(alpha=0.75, beta=0.5, lam=3.61)
+        tiny = EconomyParams(alpha=0.5, beta=1e-200, lam=1e-200)  # m underflows to 0
+        with pytest.raises(DomainError, match="price must be positive, got 0.0"):
+            cell_intervals(Cells.of([good, tiny, good]))
+        with pytest.raises(DomainError, match="price must be positive, got 0.0"):
+            trapping_interval(tiny)

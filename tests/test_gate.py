@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaoslab import (
@@ -21,6 +22,8 @@ from chaoslab import (
     thresholds,
     trapping_interval,
 )
+from chaoslab.economy import EPS_CMP, EPS_ROOT, Cells, cell_intervals
+from chaoslab.gate import _grid_rows, gate_reports, pi_sets
 
 from conftest import exact_orbit, random_window_params
 
@@ -285,3 +288,45 @@ class TestThirdIterateFactorReport:
     def test_rejects_outside_window(self):
         with pytest.raises(WindowError):
             third_iterate_factor_report(EconomyParams(alpha=0.75, beta=0.5, lam=0.9))
+
+
+class TestChunkForms:
+    @pytest.mark.parametrize("n, endpoint", [(256, False), (257, True), (2, True), (1, False)])
+    def test_grid_rows_are_linspace_rows(self, n, endpoint):
+        rng = np.random.default_rng(n)
+        start = rng.uniform(0.0, 3.0, 40)
+        stop = start + rng.uniform(0.0, 20.0, 40)
+        stop[0] = start[0]  # a zero-width row
+        start[1], stop[1] = 0.0, 4e-322  # a step that underflows to 0 for n > 100
+        got = _grid_rows(start, stop, n, endpoint=endpoint)
+        for row, lo, hi in zip(got, start, stop):
+            assert row.tobytes() == np.linspace(lo, hi, n, endpoint=endpoint).tobytes()
+
+    def test_gate_reports_equal_gate_check_per_cell(self):
+        params = random_window_params(seed=515, count=70, frac_range=(0.0, 1.0))
+        a, m, b = cell_intervals(Cells.of(params))
+        for n_grid in (100, 256):
+            want = [gate_check(p, trapping_interval(p), n_grid) for p in params]
+            assert gate_reports(params, a, m, b, n_grid, EPS_CMP) == want
+
+    def test_pi_sets_equal_pi_set_per_cell(self):
+        params = random_window_params(seed=516, count=70, frac_range=(0.0, 1.0))
+        a, m, _ = cell_intervals(Cells.of(params))
+        pairs = [period2_points(p) for p in params]
+        for n_scan in (64, 4096):
+            want = [pi_set(p, trapping_interval(p), n_scan=n_scan) for p in params]
+            assert pi_sets(params, a, m, pairs, EPS_ROOT, n_scan) == want
+
+
+@pytest.mark.parametrize("lam, bound", [(0.5, "lambda_g_low"), (1.0, "lambda_g_low"),
+                                        (4.0, "lambda_max"), (9.0, "lambda_max")])
+def test_one_window_check_everywhere(lam, bound):
+    params = EconomyParams(alpha=0.75, beta=0.5, lam=lam)
+    with pytest.raises(WindowError) as want:
+        trapping_interval(params)
+    assert want.value.bound == bound
+    for check in (classify_closed_form, third_iterate_factor_report, endpoint_gap_report):
+        with pytest.raises(WindowError) as got:
+            check(params)
+        assert str(got.value) == str(want.value)
+        assert (got.value.bound, got.value.bound_value) == (bound, want.value.bound_value)

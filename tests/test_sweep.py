@@ -134,8 +134,34 @@ class TestRunSweep:
         assert rows[0].odd_cycle_cf is None
 
     def test_parallel_equals_serial(self):
-        config = _config()
+        # 144 cells: more than one chunk, and above the pool threshold of 64
+        config = _config(lambda_spec=LambdaSpec(kind="window", count=24))
         assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
+
+    def test_parallel_equals_serial_with_blank_cells(self):
+        # 3 x 2 x 12 absolute lambdas, of which some fall outside each window
+        config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
+        serial = run_sweep(config, jobs=1)
+        assert len(serial) >= 64
+        assert any(r.agree is None for r in serial) and any(r.agree for r in serial)
+        assert run_sweep(config, jobs=2) == serial
+
+    @pytest.mark.parametrize("kind", ["window", "absolute"])
+    @pytest.mark.parametrize(
+        "methods",
+        [(Method.CLOSED_FORM, Method.NUMERICAL), (Method.CLOSED_FORM,), (Method.NUMERICAL,)],
+    )
+    def test_chunked_rows_equal_single_cells(self, kind, methods):
+        spec = (LambdaSpec(kind="window", count=12) if kind == "window"
+                else LambdaSpec(kind="absolute", count=12, lo=0.05, hi=3.0))
+        config = _config(alpha_range=(0.2, 0.9, 4), beta_range=(0.1, 0.9, 3),
+                         lambda_spec=spec, methods=methods)
+        rows = run_sweep(config)
+        assert len(rows) > 130
+        want = [evaluate_cell(r.alpha, r.beta, r.lam, methods) for r in rows]
+        assert rows == want
+        if kind == "absolute":
+            assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
     def test_pi_scan_reaches_every_cell(self):
         # 64 cells or more take the worker-process path when jobs > 1
