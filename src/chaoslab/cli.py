@@ -136,13 +136,17 @@ def _add_param_flags(p: _Parser) -> None:
     )
 
 
-def _add_tol_flags(p: _Parser) -> None:
+def _add_scan_flags(p: _Parser) -> None:
     p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
-    p.add_argument("--eps-cmp", type=float, default=EPS_CMP, help="threshold comparison tolerance")
     p.add_argument(
         "--grid-density", type=_positive_int, default=GRID_BASE,
         help="base scan density; period-n scans use density*n points",
     )
+
+
+def _add_tol_flags(p: _Parser) -> None:
+    _add_scan_flags(p)
+    p.add_argument("--eps-cmp", type=float, default=EPS_CMP, help="threshold comparison tolerance")
 
 
 def build_parser() -> _Parser:
@@ -179,7 +183,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="emit orbit/turbulence certificates as JSON")
     _add_param_flags(p)
-    _add_tol_flags(p)
+    _add_scan_flags(p)
     p.add_argument("--max-period", type=_positive_int, default=15)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
@@ -488,6 +492,7 @@ def cmd_verify(args) -> int:
         eps_cmp=args.eps_cmp,
         eps_root=args.eps_root,
         pi_scan=max(2, args.grid_density // 2),
+        grid_base=args.grid_density,
     )
     print(format_report(result))
     return EXIT_OK if result.passed else EXIT_INTERNAL

@@ -115,6 +115,10 @@ class Cells(NamedTuple):
             np.array([p.lam for p in params], dtype=float),
         )
 
+    def take(self, rows: np.ndarray) -> Cells:
+        """The cells at the given row indices, in that order, repeats allowed."""
+        return Cells(*(v[rows] for v in self))
+
 
 @dataclass(frozen=True)
 class ThresholdSet:

@@ -338,7 +338,7 @@ def pi_sets(
         # one masked pass over every cell's brackets: bracket j evaluates the
         # map of its own cell, so these closures take arrays only
         rows = np.array(owner, dtype=np.intp)
-        F_all, dF_all = _second_iterate_funcs(Cells(*(v[rows] for v in Cells.of(params))))
+        F_all, dF_all = _second_iterate_funcs(Cells.of(params).take(rows))
         los, his = np.array(brackets).T
         roots = refine_roots(F_all, dF_all, los, his).tolist()
     scanned: list[list[float]] = [[] for _ in params]

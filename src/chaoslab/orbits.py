@@ -11,12 +11,13 @@ callers that emit results are expected to attach the search bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .economy import (
     EPS_ROOT,
+    Cells,
     DomainError,
     EconomyParams,
     TrappingInterval,
@@ -93,32 +94,9 @@ def iterate(params: EconomyParams, p0: float, n_steps: int) -> Orbit:
 
 
 def _iterate_array(f, xs: np.ndarray, n: int) -> np.ndarray:
-    ys = xs.astype(float).copy()
     for _ in range(n):
-        ys = f(ys)
-    return ys
-
-
-def _scan_cycle_roots(f, lo: float, hi: float, n: int, n_points: int) -> np.ndarray:
-    """Roots of f^n(x) - x on [lo, hi] via dense scan + vectorized bisection."""
-    xs = np.linspace(lo, hi, n_points)
-
-    def F(v):
-        return _iterate_array(f, np.atleast_1d(v), n) - np.atleast_1d(v)
-
-    vals = F(xs)
-    brackets = grid_brackets(vals, xs)
-    if not brackets:
-        return np.empty(0)
-    exact = np.array([b[0] for b in brackets if b[0] == b[1]])
-    open_b = [b for b in brackets if b[0] != b[1]]
-    if open_b:
-        los = np.array([b[0] for b in open_b])
-        his = np.array([b[1] for b in open_b])
-        refined = bisect_many(lambda v: _iterate_array(f, v, n) - v, los, his)
-    else:
-        refined = np.empty(0)
-    return np.sort(np.concatenate([exact, refined]))
+        xs = f(xs)
+    return xs
 
 
 def _polish_many(f, df, xs: np.ndarray, n: int, *, iters: int = 4) -> np.ndarray:
@@ -151,64 +129,98 @@ def _polish_many(f, df, xs: np.ndarray, n: int, *, iters: int = 4) -> np.ndarray
     return best
 
 
-def _minimal_period_orbits(
-    f, df, lo: float, hi: float, n: int, n_points: int, eps_root: float
+def _cycle_roots(
+    params: Sequence[EconomyParams],
+    intervals: Sequence[TrappingInterval],
+    cells: Cells,
+    n: int,
+    n_points: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical minimal-period-n orbits on the scan grid.
+    """Roots of f^n(x) - x on each cell's [a, b], as (owner, roots).
 
-    Returns (orbits, residuals): a (k, n) array whose rows start at the
-    orbit's smallest price, and the per-orbit residual |f^n(x0) - x0|.
-    Fully vectorized; rows are sorted by first point and deduplicated
-    within 10*eps_root.
+    Each cell is scanned on its own n_points grid with scalar parameters;
+    the open brackets of all cells are then bisected together, each under
+    the map of its own cell.  Width-zero brackets are exact grid zeros and
+    are kept as they are.  Roots come grouped by cell, ascending within it.
     """
-    empty = (np.empty((0, n)), np.empty(0))
-    roots = _scan_cycle_roots(f, lo, hi, n, n_points)
-    if roots.size == 0:
-        return empty
+    found = []
+    for p, iv in zip(params, intervals):
+        f = price_map(p)
+        xs = np.linspace(iv.a, iv.b, n_points)
+        found.append(np.array(grid_brackets(_iterate_array(f, xs, n) - xs, xs)).reshape(-1, 2))
+    owner = np.repeat(np.arange(len(found)), [len(b) for b in found])
+    los, his = np.concatenate(found or [np.empty((0, 2))]).T
+    roots = los.copy()
+    open_ = los != his
+    if open_.any():
+        f_open = price_map(cells.take(owner[open_]))
+        roots[open_] = bisect_many(lambda v: _iterate_array(f_open, v, n) - v, los[open_], his[open_])
+    order = np.lexsort((roots, owner))
+    return owner[order], roots[order]
+
+
+def _minimal_period_rows(
+    params: Sequence[EconomyParams],
+    intervals: Sequence[TrappingInterval],
+    n: int,
+    n_points: int,
+    eps_root: float,
+) -> list[list[PeriodicOrbit]]:
+    """Canonical minimal-period-n orbits of every cell on its scan grid.
+
+    Each cell's list holds orbits whose points start at the orbit's
+    smallest price, sorted by that price and deduplicated within
+    10*eps_root.  Past the per-cell scan, every step runs once over the
+    roots of all cells, element by element with each root's own
+    parameters, so a cell gets the bits it would get on its own.
+    """
+    cells = Cells.of(params)
+    owner, roots = _cycle_roots(params, intervals, cells, n, n_points)
     # points of shorter period are rediscovered by every multiple: drop any
     # root a proper divisor already explains at the full residual tolerance,
     # so an assigned period is minimal under the same bound that certifies it
+    f = price_map(cells.take(owner))
     keep = np.ones(roots.size, dtype=bool)
-    y = roots.copy()
+    y = roots
     for d in range(1, n):
         y = f(y)
         if n % d == 0:
             keep &= np.abs(y - roots) > eps_root
-    roots = roots[keep]
-    if roots.size == 0:
-        return empty
-    roots = _polish_many(f, df, roots, n)
+    owner, roots = owner[keep], roots[keep]
+    rows = cells.take(owner)
+    f = price_map(rows)
+    roots = _polish_many(f, price_map_derivative(rows), roots, n)
 
     mat = np.empty((roots.size, n))
     mat[:, 0] = roots
     for j in range(1, n):
         mat[:, j] = f(mat[:, j - 1])
-    residual = np.abs(f(mat[:, -1]) - mat[:, 0])
-    ok = residual <= eps_root
-    mat, residual = mat[ok], residual[ok]
-    if mat.shape[0] == 0:
-        return empty
+    ok = np.abs(f(mat[:, -1]) - mat[:, 0]) <= eps_root
+    owner, mat = owner[ok], mat[ok]
+    f = price_map(cells.take(owner))
 
     # rotate every row to start at its smallest price, so all n roots of one
-    # orbit canonicalize identically, then dedupe neighbours
+    # orbit canonicalize identically, then dedupe neighbours of the same cell
     start = np.argmin(mat, axis=1)
     cols = (start[:, None] + np.arange(n)[None, :]) % n
     mat = np.take_along_axis(mat, cols, axis=1)
     residual = np.abs(f(mat[:, -1]) - mat[:, 0])
-    order = np.argsort(mat[:, 0], kind="stable")
-    mat, residual = mat[order], residual[order]
-    kept: list[int] = []
-    for i in range(mat.shape[0]):
+    order = np.lexsort((mat[:, 0], owner))
+    owner, points, residual = owner[order].tolist(), mat[order].tolist(), residual[order].tolist()
+    tol = 10.0 * eps_root
+    out: list[list[PeriodicOrbit]] = [[] for _ in params]
+    for i, row, res in zip(owner, points, residual):
+        kept = out[i]
         duplicate = False
-        for j in reversed(kept):
-            if mat[i, 0] - mat[j, 0] > 10.0 * eps_root:
+        for orbit in reversed(kept):
+            if row[0] - orbit.points[0] > tol:
                 break
-            if np.max(np.abs(mat[i] - mat[j])) <= 10.0 * eps_root:
+            if max(abs(x - y) for x, y in zip(row, orbit.points)) <= tol:
                 duplicate = True
                 break
         if not duplicate:
-            kept.append(i)
-    return mat[kept], residual[kept]
+            kept.append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
+    return out
 
 
 def _check_max_period(max_period: int) -> None:
@@ -217,26 +229,43 @@ def _check_max_period(max_period: int) -> None:
 
 
 def _orbits_by_period(
-    params: EconomyParams,
-    interval: TrappingInterval,
+    params: Sequence[EconomyParams],
+    intervals: Sequence[TrappingInterval],
     scans: Iterable[tuple[int, int]],
     eps_root: float,
-) -> Iterator[list[PeriodicOrbit]]:
-    """Minimal-period-n orbits for each (n, n_points) scan, one list per n.
+) -> Iterator[list[list[PeriodicOrbit]]]:
+    """Minimal-period-n orbits for each (n, n_points) scan: one list per cell, per n.
 
-    Lazy: each list is built when it is asked for, sorted by smallest
-    price, so a caller that stops iterating skips the remaining scans.
+    Lazy: the lists of a period are built when they are asked for, so a
+    caller that stops iterating skips the remaining scans.
     """
-    f = price_map(params)
-    df = price_map_derivative(params)
     for n, n_points in scans:
-        mat, residual = _minimal_period_orbits(
-            f, df, interval.a, interval.b, n, n_points, eps_root
-        )
-        yield [
-            PeriodicOrbit(period=n, points=tuple(float(x) for x in row), residual=float(res))
-            for row, res in zip(mat, residual)
-        ]
+        yield _minimal_period_rows(params, intervals, n, n_points, eps_root)
+
+
+def periodic_orbit_lists(
+    params: Sequence[EconomyParams],
+    intervals: Sequence[TrappingInterval],
+    max_period: int,
+    *,
+    eps_root: float = EPS_ROOT,
+    grid_base: int = GRID_BASE,
+) -> list[list[PeriodicOrbit]]:
+    """`find_periodic_orbits` of every cell of a chunk, given its trapping intervals.
+
+    For each period n, every cell is scanned on its own grid_base*n-point
+    grid, and the brackets of all cells are then bisected in one pass, as
+    are the divisor filter, the Newton polish and the residual bound.  Each
+    list is bit for bit what `find_periodic_orbits` returns for that cell
+    alone; orbits of two cells are never merged, even for equal cells.
+    """
+    _check_max_period(max_period)
+    out: list[list[PeriodicOrbit]] = [[] for _ in params]
+    scans = ((n, grid_base * n) for n in range(1, max_period + 1))
+    for lists in _orbits_by_period(params, intervals, scans, eps_root):
+        for acc, orbits in zip(out, lists):
+            acc.extend(orbits)
+    return out
 
 
 def find_periodic_orbits(
@@ -265,13 +294,9 @@ def find_periodic_orbits(
     reported, because at that parameter they are indistinguishable from a
     true cycle at this tolerance.
     """
-    _check_max_period(max_period)
-    scans = ((n, grid_base * n) for n in range(1, max_period + 1))
-    return [
-        orbit
-        for orbits in _orbits_by_period(params, interval, scans, eps_root)
-        for orbit in orbits
-    ]
+    return periodic_orbit_lists(
+        [params], [interval], max_period, eps_root=eps_root, grid_base=grid_base
+    )[0]
 
 
 def find_odd_cycle(
@@ -295,7 +320,7 @@ def find_odd_cycle(
     """
     _check_max_period(max_period)
     scans = ((n, grid_base * n) for n in range(3, max_period + 1, 2))
-    for orbits in _orbits_by_period(params, interval, scans, eps_root):
+    for (orbits,) in _orbits_by_period([params], [interval], scans, eps_root):
         if orbits:
             return orbits[0]
     return None
@@ -361,5 +386,5 @@ def search_period3(
     is not settled, so both outcomes are acceptable and nothing beyond the
     residual bound is asserted about the result.
     """
-    orbits = next(_orbits_by_period(params, interval, [(3, n_scan)], eps_root))
+    (orbits,) = next(_orbits_by_period([params], [interval], [(3, n_scan)], eps_root))
     return orbits[0] if orbits else None

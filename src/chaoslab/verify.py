@@ -44,7 +44,7 @@ from .gate import (
     period2_points,
     second_iterate_sign_report,
 )
-from .orbits import find_periodic_orbits
+from .orbits import GRID_BASE, periodic_orbit_lists
 from .sweep import LambdaSpec, SweepConfig, _cells, _eval_chunk
 
 #: showcase parameters used for the informational notes
@@ -164,17 +164,24 @@ def check_factor_identity(result: VerifyResult, triples: list[EconomyParams]) ->
 
 
 def check_low_period_oracle(
-    result: VerifyResult, triples: list[EconomyParams], *, eps_root: float = EPS_ROOT
+    result: VerifyResult,
+    triples: list[EconomyParams],
+    *,
+    eps_root: float = EPS_ROOT,
+    grid_base: int = GRID_BASE,
 ) -> None:
     """Scan-found orbits of period <= 2 must match the closed forms to 1e-9.
 
-    The two-cycle is only demanded from the scan when its points are
+    The orbits of all triples come from one `periodic_orbit_lists` call:
+    the period-n scan of each triple uses grid_base*n points, and the
+    brackets of all triples are bisected together, period by period.  The
+    two-cycle is only demanded from the scan when its points are
     comfortably separated from the fixed point (a zero discriminant makes
     the crossing tangent, which a sign scan legitimately cannot see).
     """
-    for params in triples:
-        interval = trapping_interval(params)
-        orbits = find_periodic_orbits(params, interval, 2, eps_root=eps_root)
+    intervals = [trapping_interval(params) for params in triples]
+    found = periodic_orbit_lists(triples, intervals, 2, eps_root=eps_root, grid_base=grid_base)
+    for params, interval, orbits in zip(triples, intervals, found):
         z = fixed_point(params)
         pair = period2_points(params)
         by_period = {1: [], 2: []}
@@ -212,8 +219,13 @@ def run_verify(
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
     pi_scan: int = PI_SCAN_POINTS,
+    grid_base: int = GRID_BASE,
 ) -> VerifyResult:
-    """Run all four groups and return the collected evidence."""
+    """Run all four groups and return the collected evidence.
+
+    pi_scan sizes the agreement grid's Pi-set scans, grid_base the
+    low-period oracle's orbit scans.
+    """
     result = VerifyResult(grid_shape=(alpha_count, beta_count, lambda_count))
     check_agreement(
         result, alpha_count, beta_count, lambda_count,
@@ -225,7 +237,7 @@ def run_verify(
     rng = np.random.default_rng(_SEED)
     sample = _window_triples(rng, triples)
     check_factor_identity(result, sample)
-    check_low_period_oracle(result, sample, eps_root=eps_root)
+    check_low_period_oracle(result, sample, eps_root=eps_root, grid_base=grid_base)
     return result
 
 

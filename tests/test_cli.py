@@ -173,6 +173,16 @@ class TestCertify:
         )
         assert code == EXIT_WINDOW
 
+    def test_eps_cmp_is_not_accepted(self, capsys):
+        # certify compares no thresholds, so the flag would have no effect
+        code, out, err = run_cli(
+            capsys, "certify", "--alpha", "0.75", "--beta", "0.5", "--lambda", "3.61",
+            "--eps-cmp", "0.5",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--eps-cmp" in err
+
 
 class TestSweep:
     def test_single_cell_matches_classify(self, capsys, tmp_path):

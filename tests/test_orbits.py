@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from chaoslab import (
@@ -12,10 +13,15 @@ from chaoslab import (
     fixed_point,
     iterate,
     period2_points,
+    price_map,
+    price_map_derivative,
     search_period3,
     step,
     trapping_interval,
 )
+from chaoslab.economy import TrappingInterval
+from chaoslab.orbits import PeriodicOrbit, periodic_orbit_lists
+from chaoslab.rootfind import bisect_many, grid_brackets, scan_roots
 
 from conftest import exact_orbit, random_window_params
 
@@ -139,6 +145,133 @@ class TestFindPeriodicOrbits:
             if orbit.period == 2:
                 for x in orbit.points:
                     assert x == pytest.approx(1.0, abs=1e-4)
+
+
+def _reference_orbits(params, interval, n, n_points, eps_root=1e-10):
+    """The period-n search for one cell as a plain loop, with scalar parameters."""
+    f, df = price_map(params), price_map_derivative(params)
+
+    def F(v):
+        y = v
+        for _ in range(n):
+            y = f(y)
+        return y - v
+
+    def dF(v):
+        y, prod = v, np.ones_like(v)
+        for _ in range(n):
+            prod = prod * df(y)
+            y = f(y)
+        return prod - 1.0
+
+    xs = np.linspace(interval.a, interval.b, n_points)
+    roots = []
+    for lo, hi in grid_brackets(F(xs), xs):
+        roots.append(lo if lo == hi else float(bisect_many(F, np.array([lo]), np.array([hi]))[0]))
+    roots = [
+        x for x in sorted(roots)
+        if all(abs(float(_apply_n_array(f, np.array([x]), d)[0]) - x) > eps_root
+               for d in range(1, n) if n % d == 0)
+    ]
+    best = np.array(roots, dtype=float)
+    best_f, x = np.abs(F(best)), best
+    for _ in range(4):  # guarded Newton keeping the best residual
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - F(x) / dF(x)
+        x = np.where(np.isfinite(nxt) & (nxt > 0.0), nxt, best)
+        fx = np.abs(F(x))
+        best = np.where(fx < best_f, x, best)
+        best_f = np.minimum(fx, best_f)
+    rows = []
+    for x0 in best.tolist():
+        row = [x0]
+        for _ in range(n - 1):
+            row.append(float(f(np.array([row[-1]]))[0]))
+        if abs(float(f(np.array([row[-1]]))[0]) - x0) > eps_root:
+            continue
+        k = row.index(min(row))
+        row = row[k:] + row[:k]
+        rows.append((row, abs(float(f(np.array([row[-1]]))[0]) - row[0])))
+    kept = []
+    for row, res in sorted(rows, key=lambda r: r[0][0]):
+        if not any(max(abs(u - v) for u, v in zip(row, o.points)) <= 10.0 * eps_root for o in kept):
+            kept.append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
+    return kept
+
+
+def _apply_n_array(f, x, n):
+    for _ in range(n):
+        x = f(x)
+    return x
+
+
+def _one_cell_calls(params, intervals, max_period, **kw):
+    return [find_periodic_orbits(p, iv, max_period, **kw) for p, iv in zip(params, intervals)]
+
+
+class TestPeriodicOrbitLists:
+    """The chunk search against one-cell calls; repr pins every float bit for bit."""
+
+    def test_chunk_equals_one_cell_calls(self, anchor, quiet):
+        params = random_window_params(seed=777, count=42) + [anchor, quiet]
+        intervals = [trapping_interval(p) for p in params]
+        chunk = periodic_orbit_lists(params, intervals, 6, grid_base=2048)
+        assert repr(chunk) == repr(_one_cell_calls(params, intervals, 6, grid_base=2048))
+        # the chunk saw periods 3 to 6 with several cells bracketing at once
+        assert sum(o.period >= 3 for orbits in chunk for o in orbits) > 40
+
+    def test_one_cell_equals_reference_loop(self, anchor, quiet):
+        for params in random_window_params(seed=779, count=8) + [anchor, quiet]:
+            iv = trapping_interval(params)
+            want = [o for n in range(1, 6) for o in _reference_orbits(params, iv, n, 1024 * n)]
+            assert repr(find_periodic_orbits(params, iv, 5, grid_base=1024)) == repr(want), params
+
+    def test_default_grid_equals_one_cell_calls(self, anchor):
+        params = [anchor, *random_window_params(seed=778, count=5)]
+        intervals = [trapping_interval(p) for p in params]
+        chunk = periodic_orbit_lists(params, intervals, 3)
+        assert repr(chunk) == repr(_one_cell_calls(params, intervals, 3))
+
+    def test_exact_grid_zero_and_cell_without_brackets(self, anchor):
+        # on [0.5, 1.5] a 3-point grid lands on the anchor's fixed point 1.0,
+        # where f(x) - x is exactly zero: a width-zero bracket and no open one;
+        # f(x) - x < 0 on all of [1.2, 1.3], so that cell has no bracket at all
+        exact = TrappingInterval(a=0.5, m=1.0, b=1.5)
+        empty = TrappingInterval(a=1.2, m=1.25, b=1.3)
+        params = [anchor, anchor, anchor]
+        intervals = [trapping_interval(anchor), exact, empty]
+        chunk = periodic_orbit_lists(params, intervals, 1, grid_base=3)
+        assert repr(chunk) == repr(_one_cell_calls(params, intervals, 1, grid_base=3))
+        assert chunk[1] == [find_periodic_orbits(anchor, exact, 1, grid_base=3)[0]]
+        assert chunk[1][0].points == (1.0,) and chunk[1][0].residual == 0.0
+        assert chunk[2] == []
+        chunk = periodic_orbit_lists(params, intervals, 4, grid_base=3)
+        assert repr(chunk) == repr(_one_cell_calls(params, intervals, 4, grid_base=3))
+
+    def test_same_cell_twice_is_not_merged(self, anchor):
+        iv = trapping_interval(anchor)
+        single = find_periodic_orbits(anchor, iv, 4, grid_base=1024)
+        assert single
+        chunk = periodic_orbit_lists([anchor, anchor], [iv, iv], 4, grid_base=1024)
+        assert repr(chunk) == repr([single, single])
+
+    def test_cell_whose_roots_all_fail_the_divisor_filter(self, anchor):
+        # below mu = 2 there is no two-cycle: the only root of f(f(x)) - x is
+        # the fixed point, which the period-1 divisor explains
+        calm = EconomyParams(alpha=0.75, beta=0.5, lam=1.5)
+        iv = trapping_interval(calm)
+        f, df = price_map(calm), price_map_derivative(calm)
+        roots = scan_roots(lambda x: f(f(x)) - x, lambda x: df(f(x)) * df(x) - 1.0, iv.a, iv.b, 2048)
+        assert roots == pytest.approx([1.0])
+        params = [anchor, calm, anchor]
+        intervals = [trapping_interval(p) for p in params]
+        chunk = periodic_orbit_lists(params, intervals, 2, grid_base=1024)
+        assert repr(chunk) == repr(_one_cell_calls(params, intervals, 2, grid_base=1024))
+        assert [o.period for o in chunk[1]] == [1]
+        assert [o.period for o in chunk[0]] == [1, 2]
+
+    def test_empty_chunk(self):
+        assert periodic_orbit_lists([], [], 3) == []
 
 
 class TestFindOddCycle:

@@ -1,0 +1,89 @@
+"""The verify suite's low-period oracle: one chunk call against a per-triple loop."""
+
+import pytest
+
+import chaoslab.orbits
+from chaoslab import (
+    GRID_BASE,
+    EconomyParams,
+    find_periodic_orbits,
+    fixed_point,
+    period2_points,
+    trapping_interval,
+)
+from chaoslab.cli import main
+from chaoslab.verify import VerifyResult, check_low_period_oracle
+
+from conftest import random_window_params
+
+
+def _reference_oracle(result, triples, eps_root, grid_base):
+    """The oracle as a loop of one `find_periodic_orbits` call per triple."""
+    for params in triples:
+        interval = trapping_interval(params)
+        orbits = find_periodic_orbits(params, interval, 2, eps_root=eps_root, grid_base=grid_base)
+        z = fixed_point(params)
+        pair = period2_points(params)
+        by_period = {1: [], 2: []}
+        for orb in orbits:
+            by_period[orb.period].append(orb)
+        tag = f"alpha={params.alpha!r} beta={params.beta!r} lambda={params.lam!r}"
+
+        if len(by_period[1]) != 1:
+            result.oracle_failures.append(f"{tag}: expected exactly one fixed orbit")
+        else:
+            err = abs(by_period[1][0].points[0] - z)
+            result.oracle_max_err = max(result.oracle_max_err, err)
+
+        separation = 0.0 if pair is None else pair[1] - pair[0]
+        two_cycle_in_e = pair is not None and interval.a <= pair[0] and pair[1] <= interval.b
+        expect_pair = two_cycle_in_e and separation > 1e-5 * interval.b
+        if expect_pair and not by_period[2]:
+            result.oracle_failures.append(f"{tag}: two-cycle not found by scan")
+        for orb in by_period[2]:
+            if pair is None:
+                result.oracle_failures.append(f"{tag}: scan found a two-cycle, closed form has none")
+                continue
+            err = max(abs(orb.points[0] - pair[0]), abs(orb.points[1] - pair[1]))
+            result.oracle_max_err = max(result.oracle_max_err, err)
+        result.oracle_checks += 1
+
+
+def _oracle_fields(result):
+    return result.oracle_checks, repr(result.oracle_max_err), result.oracle_failures
+
+
+@pytest.mark.parametrize("grid_base", [GRID_BASE, 64, 3, 1])
+def test_oracle_matches_per_triple_loop(grid_base, anchor, quiet):
+    # the quiet point sits where the two-cycle is born; grid_base 1 gives the
+    # period-1 scan a single point, so every triple fails its fixed-orbit check
+    triples = random_window_params(seed=909, count=40) + [
+        anchor, quiet, EconomyParams(alpha=0.75, beta=0.5, lam=1.5),
+    ]
+    got, want = VerifyResult(grid_shape=(1, 1, 1)), VerifyResult(grid_shape=(1, 1, 1))
+    check_low_period_oracle(got, triples, grid_base=grid_base)
+    _reference_oracle(want, triples, 1e-10, grid_base)
+    assert _oracle_fields(got) == _oracle_fields(want)
+    assert got.oracle_checks == len(triples)
+    if grid_base == 1:
+        assert len(got.oracle_failures) == len(triples)
+
+
+@pytest.mark.parametrize("argv,want", [
+    ([], {(1, GRID_BASE), (2, 2 * GRID_BASE)}),
+    (["--grid-density", "64"], {(1, 64), (2, 128)}),
+])
+def test_grid_density_reaches_the_oracle(monkeypatch, capsys, argv, want):
+    scans = []
+    real = chaoslab.orbits._minimal_period_rows
+
+    def spy(params, intervals, n, n_points, eps_root):
+        scans.append((n, n_points, len(params)))
+        return real(params, intervals, n, n_points, eps_root)
+
+    monkeypatch.setattr(chaoslab.orbits, "_minimal_period_rows", spy)
+    main(["verify", "--alpha-count", "2", "--beta-count", "2", "--lambda-count", "3",
+          "--triples", "7", *argv])
+    capsys.readouterr()
+    # one pass per period over all seven triples
+    assert sorted(scans) == sorted((n, points, 7) for n, points in want)
