@@ -76,14 +76,22 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _default_jobs() -> int:
@@ -139,8 +147,8 @@ def _add_param_flags(p: _Parser) -> None:
 def _add_scan_flags(p: _Parser) -> None:
     p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
     p.add_argument(
-        "--grid-density", type=_positive_int, default=GRID_BASE,
-        help="base scan density; period-n scans use density*n points",
+        "--grid-density", type=_int_at_least(2), default=GRID_BASE,
+        help="base scan density (>= 2); period-n scans use density*n points",
     )
 
 
@@ -391,15 +399,11 @@ def cmd_sweep(args) -> int:
         f"grid_density={args.grid_density} pi_scan={pi_scan} gate_grid={SWEEP_GATE_GRID} "
         f"eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
     ]
-    try:
-        with _open_out(config.output_path) as fh:
-            if config.output_format == "json":
-                write_rows_json(rows, fh, metadata)
-            else:
-                write_rows_csv(rows, fh, metadata)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
+    with _open_out(config.output_path) as fh:
+        if config.output_format == "json":
+            write_rows_json(rows, fh, metadata)
+        else:
+            write_rows_csv(rows, fh, metadata)
     return EXIT_OK
 
 
@@ -413,11 +417,7 @@ def cmd_certify(args) -> int:
     params = _params_from(args)
     if args.max_period > 20:
         raise UsageError(f"--max-period must be <= 20, got {args.max_period}")
-    try:
-        interval = trapping_interval(params)
-    except WindowError as exc:
-        print(f"outside admissible window: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
+    interval = trapping_interval(params)
     odd = find_odd_cycle(
         params, interval, args.max_period, eps_root=args.eps_root, grid_base=args.grid_density
     )
@@ -448,13 +448,9 @@ def cmd_certify(args) -> int:
         "period3": _orbit_doc(three),
         "note": "empty certificates mean 'not found within the stated search bounds', not non-existence",
     }
-    try:
-        with _open_out(args.out) as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
+    with _open_out(args.out) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
     return EXIT_OK
 
 
@@ -466,20 +462,16 @@ def cmd_orbit(args) -> int:
         orbit = iterate(params, args.p0, args.steps)
     except (DomainError, ValueError) as exc:
         raise UsageError(str(exc))
-    try:
-        with _open_out(args.out) as fh:
-            fh.write(f"# chaoslab {__version__}\n")
-            fh.write(
-                f"# orbit alpha={_fmt(params.alpha)} beta={_fmt(params.beta)} "
-                f"lambda={_fmt(params.lam)} p0={_fmt(orbit.p0)} steps={args.steps}\n"
-            )
-            fh.write(f"# escaped={str(orbit.escaped).lower()}\n")
-            fh.write("t,p\n")
-            for t, p in enumerate(orbit.points):
-                fh.write(f"{t},{format(p, '.17g')}\n")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
+    with _open_out(args.out) as fh:
+        fh.write(f"# chaoslab {__version__}\n")
+        fh.write(
+            f"# orbit alpha={_fmt(params.alpha)} beta={_fmt(params.beta)} "
+            f"lambda={_fmt(params.lam)} p0={_fmt(orbit.p0)} steps={args.steps}\n"
+        )
+        fh.write(f"# escaped={str(orbit.escaped).lower()}\n")
+        fh.write("t,p\n")
+        for t, p in enumerate(orbit.points):
+            fh.write(f"{t},{format(p, '.17g')}\n")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from .economy import (
     require_window,
     thresholds,
 )
-from .rootfind import REFINE_LOOP_BELOW, dedupe_sorted, refine_root, refine_roots, scan_brackets
+from .rootfind import bisect_brackets, dedupe_sorted, scan_brackets
 
 #: default scan density for the Pi-set safety net on [a, m]
 PI_SCAN_POINTS = 4096
@@ -236,21 +236,18 @@ def fixed_point(params: EconomyParams) -> float:
     return params.beta / (2.0 * (1.0 - params.alpha))
 
 
-def _second_iterate_funcs(params: EconomyParams):
+def _second_iterate(params: EconomyParams | Cells):
     f = price_map(params)
-    df = price_map_derivative(params)
 
     def F(x):
         return f(f(x)) - x
 
-    def dF(x):
-        return df(f(x)) * df(x) - 1.0
-
-    return F, dF
+    return F
 
 
 def _polish_period2(F, dF, x: float) -> float:
-    # guarded Newton on F(x) = f(f(x)) - x; keeps the best residual seen
+    # guarded Newton on F(x) = f(f(x)) - x from a closed-form start; keeps
+    # the best residual seen
     fx = F(x)
     best_x, best_f = x, abs(fx)
     for _ in range(50):
@@ -284,7 +281,13 @@ def period2_points(params: EconomyParams) -> tuple[float, float] | None:
         return None
     root = math.sqrt(disc)
     center = 2.0 * params.lam * one_minus_alpha
-    F, dF = _second_iterate_funcs(params)
+    f = price_map(params)
+    df = price_map_derivative(params)
+
+    def dF(x):
+        return df(f(x)) * df(x) - 1.0
+
+    F = _second_iterate(params)
     w1 = _polish_period2(F, dF, center - root)
     w2 = _polish_period2(F, dF, center + root)
     return (w1, w2) if w1 <= w2 else (w2, w1)
@@ -324,29 +327,25 @@ def pi_sets(
     Each cell's safety-net scan runs on its own grid, with scalar
     parameters; the brackets of all cells are then refined together.
     """
-    funcs = [_second_iterate_funcs(p) for p in params]
+    funcs = [_second_iterate(p) for p in params]
     owner: list[int] = []
     brackets: list[tuple[float, float]] = []
-    for i, ((F, _), a_p, m_p) in enumerate(zip(funcs, a.tolist(), m.tolist())):
+    for i, (F, a_p, m_p) in enumerate(zip(funcs, a.tolist(), m.tolist())):
         found = scan_brackets(F, a_p, m_p, n_scan)
         owner += [i] * len(found)
         brackets += found
-    if len(brackets) < REFINE_LOOP_BELOW:
-        # what refine_roots does at this size, with each cell's own closures
-        roots = [refine_root(*funcs[i], lo, hi) for i, (lo, hi) in zip(owner, brackets)]
-    else:
-        # one masked pass over every cell's brackets: bracket j evaluates the
-        # map of its own cell, so these closures take arrays only
-        rows = np.array(owner, dtype=np.intp)
-        F_all, dF_all = _second_iterate_funcs(Cells.of(params).take(rows))
-        los, his = np.array(brackets).T
-        roots = refine_roots(F_all, dF_all, los, his).tolist()
+    los, his = np.array(brackets).reshape(-1, 2).T
+    # bracket j of the chunk function evaluates the map of its own cell
+    roots = bisect_brackets(
+        los, his, np.array(owner, dtype=np.intp), funcs.__getitem__,
+        lambda rows: _second_iterate(Cells.of(params).take(rows)),
+    )
     scanned: list[list[float]] = [[] for _ in params]
-    for i, x in zip(owner, roots):
+    for i, x in zip(owner, roots.tolist()):
         scanned[i].append(x)
 
     out = []
-    for p, (F, _), a_p, m_p, pair, xs in zip(params, funcs, a.tolist(), m.tolist(), pairs, scanned):
+    for p, F, a_p, m_p, pair, xs in zip(params, funcs, a.tolist(), m.tolist(), pairs, scanned):
         f = price_map(p)
         candidates = [fixed_point(p), *(pair or ()), *xs]
         slack = eps_root

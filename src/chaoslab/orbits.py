@@ -22,10 +22,9 @@ from .economy import (
     EconomyParams,
     TrappingInterval,
     price_map,
-    price_map_derivative,
     step,
 )
-from .rootfind import bisect_many, grid_brackets, scan_roots
+from .rootfind import bisect_brackets, grid_brackets, scan_roots
 
 #: iterates at or beyond this magnitude stop a trajectory (map is unbounded above)
 OVERFLOW_GUARD = 1e12
@@ -99,36 +98,6 @@ def _iterate_array(f, xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
-def _polish_many(f, df, xs: np.ndarray, n: int, *, iters: int = 4) -> np.ndarray:
-    """Vectorized guarded Newton on f^n(x) - x; keeps the best residual seen."""
-
-    def F(v):
-        return _iterate_array(f, v, n) - v
-
-    def dF(v):
-        y = v.copy()
-        prod = np.ones_like(v)
-        for _ in range(n):
-            prod *= df(y)
-            y = f(y)
-        return prod - 1.0
-
-    best = xs.astype(float).copy()
-    best_f = np.abs(F(best))
-    x = best.copy()
-    for _ in range(iters):
-        d = dF(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - F(x) / d
-        ok = np.isfinite(nxt) & (nxt > 0.0)
-        x = np.where(ok, nxt, best)
-        fx = np.abs(F(x))
-        improved = fx < best_f
-        best = np.where(improved, x, best)
-        best_f = np.minimum(fx, best_f)
-    return best
-
-
 def _cycle_roots(
     params: Sequence[EconomyParams],
     intervals: Sequence[TrappingInterval],
@@ -139,22 +108,24 @@ def _cycle_roots(
     """Roots of f^n(x) - x on each cell's [a, b], as (owner, roots).
 
     Each cell is scanned on its own n_points grid with scalar parameters;
-    the open brackets of all cells are then bisected together, each under
-    the map of its own cell.  Width-zero brackets are exact grid zeros and
-    are kept as they are.  Roots come grouped by cell, ascending within it.
+    the brackets of all cells are then bisected together, each under the
+    map of its own cell.  Roots come grouped by cell, ascending within it.
     """
+    maps = [price_map(p) for p in params]
     found = []
-    for p, iv in zip(params, intervals):
-        f = price_map(p)
+    for f, iv in zip(maps, intervals):
         xs = np.linspace(iv.a, iv.b, n_points)
         found.append(np.array(grid_brackets(_iterate_array(f, xs, n) - xs, xs)).reshape(-1, 2))
     owner = np.repeat(np.arange(len(found)), [len(b) for b in found])
     los, his = np.concatenate(found or [np.empty((0, 2))]).T
-    roots = los.copy()
-    open_ = los != his
-    if open_.any():
-        f_open = price_map(cells.take(owner[open_]))
-        roots[open_] = bisect_many(lambda v: _iterate_array(f_open, v, n) - v, los[open_], his[open_])
+
+    def cycle_func(f):
+        return lambda v: _iterate_array(f, v, n) - v
+
+    roots = bisect_brackets(
+        los, his, owner, lambda i: cycle_func(maps[i]),
+        lambda rows: cycle_func(price_map(cells.take(rows))),
+    )
     order = np.lexsort((roots, owner))
     return owner[order], roots[order]
 
@@ -187,9 +158,7 @@ def _minimal_period_rows(
         if n % d == 0:
             keep &= np.abs(y - roots) > eps_root
     owner, roots = owner[keep], roots[keep]
-    rows = cells.take(owner)
-    f = price_map(rows)
-    roots = _polish_many(f, price_map_derivative(rows), roots, n)
+    f = price_map(cells.take(owner))
 
     mat = np.empty((roots.size, n))
     mat[:, 0] = roots
@@ -255,9 +224,9 @@ def periodic_orbit_lists(
 
     For each period n, every cell is scanned on its own grid_base*n-point
     grid, and the brackets of all cells are then bisected in one pass, as
-    are the divisor filter, the Newton polish and the residual bound.  Each
-    list is bit for bit what `find_periodic_orbits` returns for that cell
-    alone; orbits of two cells are never merged, even for equal cells.
+    are the divisor filter and the residual bound.  Each list is bit for
+    bit what `find_periodic_orbits` returns for that cell alone; orbits of
+    two cells are never merged, even for equal cells.
     """
     _check_max_period(max_period)
     out: list[list[PeriodicOrbit]] = [[] for _ in params]
@@ -341,26 +310,19 @@ def find_turbulence_witness(
     x2.  Returns None when every combination fails.
     """
     f = price_map(params)
-    df = price_map_derivative(params)
     a, b = interval.a, interval.b
 
     def g(x):
         return f(f(x))
 
-    def dg_minus_1(x):
-        return df(f(x)) * df(x) - 1.0
-
-    def dg(x):
-        return df(f(x)) * df(x)
-
-    fixed = scan_roots(lambda x: g(x) - x, dg_minus_1, a, b, n_scan)
+    fixed = scan_roots(lambda x: g(x) - x, a, b, n_scan)
     for x1 in fixed:
-        pre = scan_roots(lambda x: g(x) - x1, dg, a, b, n_scan)
+        pre = scan_roots(lambda x: g(x) - x1, a, b, n_scan)
         candidates = [x2 for x2 in pre if abs(x2 - x1) > 10.0 * eps_root]
         candidates.sort(key=lambda x2: (abs(x2 - x1), x2))
         for x2 in candidates:
             lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-            inner = scan_roots(lambda x: g(x) - x2, dg, lo, hi, n_scan)
+            inner = scan_roots(lambda x: g(x) - x2, lo, hi, n_scan)
             for x3 in inner:
                 if lo < x3 < hi:
                     residuals = (

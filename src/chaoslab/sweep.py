@@ -51,24 +51,30 @@ SWEEP_GATE_GRID = 256
 #: cells evaluated together as arrays; bounds each gate grid at CHUNK_CELLS x (SWEEP_GATE_GRID + 1)
 CHUNK_CELLS = 64
 
-CSV_COLUMNS = (
-    "alpha",
-    "beta",
-    "lambda",
-    "lambda_g_low",
-    "lambda_pi",
-    "lambda_chaos",
-    "lambda_max",
-    "in_class_g",
-    "f2_of_m",
-    "f3_of_m",
-    "pi_max",
-    "odd_cycle_cf",
-    "turbulent_cf",
-    "odd_cycle_num",
-    "turbulent_num",
-    "agree",
+#: run_sweep starts worker processes only for grids of this many full chunks
+#: (4096 cells) or more; on smaller grids, two workers are no faster than one
+POOL_MIN_CHUNKS = 64
+
+#: (CSV column and JSON key, SweepRow field), in column order
+COLUMN_FIELDS = (
+    ("alpha", "alpha"),
+    ("beta", "beta"),
+    ("lambda", "lam"),
+    ("lambda_g_low", "lambda_g_low"),
+    ("lambda_pi", "lambda_pi"),
+    ("lambda_chaos", "lambda_chaos"),
+    ("lambda_max", "lambda_max"),
+    ("in_class_g", "in_class_g"),
+    ("f2_of_m", "f2_of_m"),
+    ("f3_of_m", "f3_of_m"),
+    ("pi_max", "pi_max"),
+    ("odd_cycle_cf", "odd_cycle_cf"),
+    ("turbulent_cf", "turbulent_cf"),
+    ("odd_cycle_num", "odd_cycle_num"),
+    ("turbulent_num", "turbulent_num"),
+    ("agree", "agree"),
 )
+CSV_COLUMNS = tuple(column for column, _ in COLUMN_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -254,38 +260,27 @@ def run_sweep(
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
     pi_scan is the confined-set scan density handed to the numerical
-    classifier of every cell.  With jobs > 1, cells are dealt onto worker
-    processes, each evaluating its share in chunks like a serial run; the
-    shares are merged back in submission order so the row order (and any
-    emitted file) is identical to a serial run.
+    classifier of every cell.  With jobs > 1 and at least POOL_MIN_CHUNKS
+    full chunks of cells, worker processes evaluate the grid's CHUNK_CELLS
+    slices; pool.map returns them in order, so the rows (and any emitted
+    file) are identical to a serial run.
     """
     cells = _cells(config)
-    if jobs <= 1 or len(cells) < 64:
+    if jobs <= 1 or len(cells) < POOL_MIN_CHUNKS * CHUNK_CELLS:
         return _eval_chunk(cells, config.methods, eps_cmp, eps_root, pi_scan)
     # imported here so that serial sweeps and every other command skip the cost
     from concurrent.futures import ProcessPoolExecutor
 
-    n_chunks = min(len(cells), jobs * 8)
-    chunks = [cells[i::n_chunks] for i in range(n_chunks)]
-    ordered: list[list[SweepRow]]
+    chunks = [cells[i:i + CHUNK_CELLS] for i in range(0, len(cells), CHUNK_CELLS)]
+    n = len(chunks)
+    rows: list[SweepRow] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        ordered = list(
-            pool.map(
-                _eval_chunk,
-                chunks,
-                [config.methods] * n_chunks,
-                [eps_cmp] * n_chunks,
-                [eps_root] * n_chunks,
-                [pi_scan] * n_chunks,
-            )
-        )
-    # interleaved chunks ([i::n]) are merged back by round-robin to restore order
-    merged: list[SweepRow] = []
-    for j in range(len(chunks[0])):
-        for rows in ordered:
-            if j < len(rows):
-                merged.append(rows[j])
-    return merged
+        for chunk_rows in pool.map(
+            _eval_chunk, chunks, [config.methods] * n, [eps_cmp] * n, [eps_root] * n,
+            [pi_scan] * n,
+        ):
+            rows += chunk_rows
+    return rows
 
 
 def _fmt(value) -> str:
@@ -299,24 +294,7 @@ def _fmt(value) -> str:
 
 
 def _row_cells(row: SweepRow) -> list[str]:
-    return [
-        _fmt(row.alpha),
-        _fmt(row.beta),
-        _fmt(row.lam),
-        _fmt(row.lambda_g_low),
-        _fmt(row.lambda_pi),
-        _fmt(row.lambda_chaos),
-        _fmt(row.lambda_max),
-        _fmt(row.in_class_g),
-        _fmt(row.f2_of_m),
-        _fmt(row.f3_of_m),
-        _fmt(row.pi_max),
-        _fmt(row.odd_cycle_cf),
-        _fmt(row.turbulent_cf),
-        _fmt(row.odd_cycle_num),
-        _fmt(row.turbulent_num),
-        _fmt(row.agree),
-    ]
+    return [_fmt(getattr(row, field)) for _, field in COLUMN_FIELDS]
 
 
 def write_rows_csv(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
@@ -331,24 +309,7 @@ def write_rows_csv(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[s
 
 def row_dict(row: SweepRow) -> dict:
     """The row as a JSON-ready mapping; keys mirror the CSV columns 1:1."""
-    return {
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "lambda": row.lam,
-        "lambda_g_low": row.lambda_g_low,
-        "lambda_pi": row.lambda_pi,
-        "lambda_chaos": row.lambda_chaos,
-        "lambda_max": row.lambda_max,
-        "in_class_g": row.in_class_g,
-        "f2_of_m": row.f2_of_m,
-        "f3_of_m": row.f3_of_m,
-        "pi_max": row.pi_max,
-        "odd_cycle_cf": row.odd_cycle_cf,
-        "turbulent_cf": row.turbulent_cf,
-        "odd_cycle_num": row.odd_cycle_num,
-        "turbulent_num": row.turbulent_num,
-        "agree": row.agree,
-    }
+    return {column: getattr(row, field) for column, field in COLUMN_FIELDS}
 
 
 def write_rows_json(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:

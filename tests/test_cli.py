@@ -138,6 +138,14 @@ class TestOrbit:
         )
         assert code == EXIT_USAGE
 
+    def test_unwritable_out_exits_73(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "orbit", "--alpha", "0.75", "--beta", "0.5", "--lambda", "3.61",
+            "--p0", "1.9", "--steps", "3", "--out", str(tmp_path / "no_such_dir" / "orbit.csv"),
+        )
+        assert code == EXIT_CANTCREAT
+        assert "cannot write output" in err
+
 
 class TestCertify:
     def test_anchor_certificates(self, capsys):
@@ -182,6 +190,42 @@ class TestCertify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--eps-cmp" in err
+
+    def test_unwritable_out_exits_73(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "certify", "--alpha", "0.75", "--beta", "0.5", "--lambda", "3.61",
+            "--max-period", "3", "--out", str(tmp_path / "no_such_dir" / "cert.json"),
+        )
+        assert code == EXIT_CANTCREAT
+        assert "cannot write output" in err
+
+
+POINT = ("--alpha", "0.75", "--beta", "0.5", "--lambda", "3.61")
+SWEEP_CELL = (
+    "--alpha-lo", "0.75", "--alpha-hi", "0.75", "--alpha-count", "1",
+    "--beta-lo", "0.5", "--beta-hi", "0.5", "--beta-count", "1", "--lambda-count", "1",
+)
+SMALL_VERIFY = ("--alpha-count", "3", "--beta-count", "3", "--lambda-count", "4", "--triples", "10")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", *POINT), ("sweep", *SWEEP_CELL), ("certify", *POINT), ("verify", *SMALL_VERIFY)],
+    ids=["classify", "sweep", "certify", "verify"],
+)
+@pytest.mark.parametrize("density", ["1", "0"])
+def test_grid_density_below_two_exits_64(capsys, argv, density):
+    # at density 1 the period-1 orbit scan is a single point and brackets nothing
+    code, out, err = run_cli(capsys, *argv, "--grid-density", density)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--grid-density" in err and "must be >= 2" in err
+
+
+def test_grid_density_two_passes_verify(capsys):
+    code, out, _ = run_cli(capsys, "verify", *SMALL_VERIFY, "--grid-density", "2")
+    assert code == EXIT_OK
+    assert "verdict: PASS" in out
 
 
 class TestSweep:

@@ -14,7 +14,6 @@ from chaoslab import (
     iterate,
     period2_points,
     price_map,
-    price_map_derivative,
     search_period3,
     step,
     trapping_interval,
@@ -149,7 +148,7 @@ class TestFindPeriodicOrbits:
 
 def _reference_orbits(params, interval, n, n_points, eps_root=1e-10):
     """The period-n search for one cell as a plain loop, with scalar parameters."""
-    f, df = price_map(params), price_map_derivative(params)
+    f = price_map(params)
 
     def F(v):
         y = v
@@ -157,33 +156,17 @@ def _reference_orbits(params, interval, n, n_points, eps_root=1e-10):
             y = f(y)
         return y - v
 
-    def dF(v):
-        y, prod = v, np.ones_like(v)
-        for _ in range(n):
-            prod = prod * df(y)
-            y = f(y)
-        return prod - 1.0
-
     xs = np.linspace(interval.a, interval.b, n_points)
     roots = []
     for lo, hi in grid_brackets(F(xs), xs):
-        roots.append(lo if lo == hi else float(bisect_many(F, np.array([lo]), np.array([hi]))[0]))
+        roots.append(float(bisect_many(F, np.array([lo]), np.array([hi]))[0]))
     roots = [
         x for x in sorted(roots)
         if all(abs(float(_apply_n_array(f, np.array([x]), d)[0]) - x) > eps_root
                for d in range(1, n) if n % d == 0)
     ]
-    best = np.array(roots, dtype=float)
-    best_f, x = np.abs(F(best)), best
-    for _ in range(4):  # guarded Newton keeping the best residual
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - F(x) / dF(x)
-        x = np.where(np.isfinite(nxt) & (nxt > 0.0), nxt, best)
-        fx = np.abs(F(x))
-        best = np.where(fx < best_f, x, best)
-        best_f = np.minimum(fx, best_f)
     rows = []
-    for x0 in best.tolist():
+    for x0 in roots:
         row = [x0]
         for _ in range(n - 1):
             row.append(float(f(np.array([row[-1]]))[0]))
@@ -260,8 +243,8 @@ class TestPeriodicOrbitLists:
         # the fixed point, which the period-1 divisor explains
         calm = EconomyParams(alpha=0.75, beta=0.5, lam=1.5)
         iv = trapping_interval(calm)
-        f, df = price_map(calm), price_map_derivative(calm)
-        roots = scan_roots(lambda x: f(f(x)) - x, lambda x: df(f(x)) * df(x) - 1.0, iv.a, iv.b, 2048)
+        f = price_map(calm)
+        roots = scan_roots(lambda x: f(f(x)) - x, iv.a, iv.b, 2048)
         assert roots == pytest.approx([1.0])
         params = [anchor, calm, anchor]
         intervals = [trapping_interval(p) for p in params]

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaoslab import EconomyParams, price_map, price_map_derivative, trapping_interval
+from chaoslab import EconomyParams, price_map, trapping_interval
 from chaoslab.economy import Cells
-from chaoslab.gate import _second_iterate_funcs
+from chaoslab.gate import _second_iterate
 from chaoslab.rootfind import (
     REFINE_LOOP_BELOW,
+    bisect_brackets,
     bisect_many,
     grid_brackets,
     refine_root,
-    refine_roots,
     scan_brackets,
+    scan_roots,
 )
 
 from conftest import random_window_params
@@ -109,27 +112,73 @@ def test_orbit_scan_bracket_stops_early():
     assert_same_floats(got, reference_bisect(f3_minus_x, los, his))
 
 
-# ---------------------------------------------------------------- refine_roots
+# ------------------------------------------------ refine_root against bisect_many
 
-def iterate_funcs(params, n):
-    """f^n(x) - x and its derivative, for floats and arrays alike."""
-    f = price_map(params)
-    df = price_map_derivative(params)
+def assert_float_loop_matches(func, los, his):
+    """refine_root on each bracket gives bisect_many's float for it, bit for bit."""
+    want = bisect_many(func, np.asarray(los, dtype=float), np.asarray(his, dtype=float))
+    got = np.array([refine_root(func, lo, hi) for lo, hi in zip(los, his)], dtype=float)
+    assert_same_floats(got, want)
+    return got
 
-    def F(x):
-        y = x
-        for _ in range(n):
-            y = f(y)
-        return y - x
 
-    def dF(x):
-        y, d = x, 1.0
-        for _ in range(n):
-            d = d * df(y)
-            y = f(y)
-        return d - 1.0
+def cubic_brackets(seed, count):
+    """Brackets of random width around one root each of the cubic."""
+    rng = np.random.default_rng(seed)
+    roots = rng.choice([0.3, 1.7, 2.9], count)
+    return roots - rng.uniform(0.0, 0.6, count), roots + rng.uniform(1e-12, 0.6, count)
 
-    return F, dF
+
+def test_refine_root_matches_bisect_many_on_random_brackets():
+    los, his = cubic_brackets(11, 500)
+    assert_float_loop_matches(cubic, los.tolist(), his.tolist())
+
+
+def test_refine_root_matches_bisect_many_on_ulp_wide_brackets():
+    roots = np.array([0.3, 1.7, 2.9, 1.7, 0.3])
+    ulp = np.spacing(roots)
+    los = roots - np.array([2.0, 1.0, 3.0, 0.0, 0.0]) * ulp
+    his = roots + np.array([3.0, 1.0, 1.0, 1.0, 0.0]) * ulp
+    assert_float_loop_matches(cubic, los.tolist(), his.tolist())
+    # a bracket a few ulps wide settles after a few halvings, not 80
+    counted = CountingFunc(cubic)
+    for lo, hi in zip(los.tolist(), his.tolist()):
+        refine_root(counted, lo, hi)
+    assert counted.calls <= 8 * len(los)
+
+
+def test_refine_root_matches_bisect_many_on_a_midpoint_root():
+    def linear(v):
+        return v - 0.5
+
+    got = assert_float_loop_matches(linear, [0.25, 0.0, 0.5, 0.0], [0.75, 1.0, 0.75, 0.5])
+    assert got.tolist() == [0.5, 0.5, 0.5, 0.5]
+
+
+def test_refine_root_matches_bisect_many_on_unsettled_brackets():
+    def tiny_root(v):
+        return v - 1e-30
+
+    counted = CountingFunc(tiny_root)
+    assert_float_loop_matches(counted, [0.0, 0.0], [1.0, 0.5])
+    # each float loop evaluates both ends and then 80 midpoints
+    assert counted.calls == 81 + 2 * 82
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    root=st.floats(0.01, 10.0),
+    left=st.floats(0.0, 5.0),
+    right=st.floats(0.0, 5.0),
+    slope=st.sampled_from([1.0, -1.0, 3e-7, -250.0]),
+)
+def test_refine_root_equals_bisect_many_property(root, left, right, slope):
+    def line(v):
+        return slope * (v - root)
+
+    los = [root - left, root - 0.5 * left, root]
+    his = [root + right, root, root + 0.25 * right]
+    assert_float_loop_matches(line, los, his)
 
 
 def pi_brackets(count):
@@ -138,71 +187,96 @@ def pi_brackets(count):
     owner, brackets = [], []
     for i, p in enumerate(params):
         iv = trapping_interval(p)
-        found = scan_brackets(_second_iterate_funcs(p)[0], iv.a, iv.m, 4096)
+        found = scan_brackets(_second_iterate(p), iv.a, iv.m, 4096)
         owner += [i] * len(found)
         brackets += found
     return params, np.array(owner), brackets
 
 
-def test_masked_pass_matches_refine_root_on_pi_brackets():
+def test_both_sides_of_the_cutoff_match_refine_root():
     params, owner, brackets = pi_brackets(160)
     assert len(brackets) > 200
-    cell_funcs = [_second_iterate_funcs(p) for p in params]
-    want = np.array([refine_root(*cell_funcs[i], lo, hi) for i, (lo, hi) in zip(owner, brackets)])
-    for n in (REFINE_LOOP_BELOW, len(brackets)):
-        # one closure pair for all brackets: bracket j evaluates its own cell's map
-        cells = Cells(*(v[owner[:n]] for v in Cells.of(params)))
-        los, his = np.array(brackets[:n]).T
-        assert_same_floats(refine_roots(*_second_iterate_funcs(cells), los, his), want[:n])
+    cell_funcs = [_second_iterate(p) for p in params]
+    want = np.array([refine_root(cell_funcs[i], lo, hi) for i, (lo, hi) in zip(owner, brackets)])
+    los, his = np.array(brackets).T
+
+    def chunk_func(rows):
+        return _second_iterate(Cells.of(params).take(rows))
+
+    for n in (REFINE_LOOP_BELOW - 1, REFINE_LOOP_BELOW, len(brackets)):
+        got = bisect_brackets(los[:n], his[:n], owner[:n], cell_funcs.__getitem__, chunk_func)
+        assert_same_floats(got, want[:n])
+    # one array function for all brackets: bracket j evaluates its own cell's map
+    assert_same_floats(bisect_many(chunk_func(owner), los, his), want)
 
 
-def test_both_sides_of_the_cutoff_match_refine_root():
+def test_chunk_function_is_built_only_for_bisect_many():
+    built = []
+
+    def chunk_func(rows):
+        built.append(len(rows))
+        return cubic
+
+    los, his = cubic_brackets(12, REFINE_LOOP_BELOW)
+    owner = np.zeros(len(los), dtype=np.intp)
+    for n in (1, REFINE_LOOP_BELOW - 1, REFINE_LOOP_BELOW):
+        bisect_brackets(los[:n], his[:n], owner[:n], lambda _: cubic, chunk_func)
+    assert built == [REFINE_LOOP_BELOW]
+
+
+def test_scan_roots_on_many_brackets_matches_refine_root():
     # one shared map with many roots: period-8 points of the anchor
     params = EconomyParams(alpha=0.75, beta=0.5, lam=3.61)
     iv = trapping_interval(params)
-    F, dF = iterate_funcs(params, 8)
-    brackets = [b for b in scan_brackets(F, iv.a, iv.b, 8 * 8192) if b[0] != b[1]]
+    f = price_map(params)
+
+    def F(x):
+        for _ in range(8):
+            x = f(x)
+        return x
+
+    def F8(x):
+        return F(x) - x
+
+    brackets = scan_brackets(F8, iv.a, iv.b, 8 * 8192)
     assert len(brackets) > 2 * REFINE_LOOP_BELOW
-    los, his = np.array(brackets).T
-    want = np.array([refine_root(F, dF, lo, hi) for lo, hi in brackets])
-    # the np.float64 route scan_roots used to take gives the same bits
-    wrapped = np.array([refine_root(lambda x: float(F(np.float64(x))), dF, lo, hi)
-                        for lo, hi in brackets])
-    assert_same_floats(wrapped, want)
-    for n in (REFINE_LOOP_BELOW - 1, REFINE_LOOP_BELOW, len(brackets)):
-        assert_same_floats(refine_roots(F, dF, los[:n], his[:n]), want[:n])
+    want = [refine_root(F8, lo, hi) for lo, hi in brackets]
+    # the np.float64 route gives the same bits as Python floats
+    wrapped = [refine_root(lambda x: float(F8(np.float64(x))), lo, hi) for lo, hi in brackets]
+    assert wrapped == want
+    assert scan_roots(F8, iv.a, iv.b, 8 * 8192) == want
 
 
 def edge_brackets():
     def linear(v):
         return v - 0.3
 
-    def cubic_flat(v):
-        return (v - 0.3) * (v - 0.3) * (v - 0.3)
-
     return [
-        # 0.5 is the first midpoint of [0.25, 0.75] and of [0, 1]
-        (lambda v: v - 0.5, lambda v: 1.0 + 0.0 * v, [(0.25, 0.75), (0.0, 1.0)]),
-        # f(lo) == 0, f(hi) == 0, both, and a root Newton lands on exactly
-        (linear, lambda v: 1.0 + 0.0 * v, [(0.3, 0.9), (0.1, 0.3), (0.3, 0.3), (0.0, 1.0)]),
-        # roots at both ends: refine_root returns lo
-        (lambda v: (v - 0.25) * (v - 0.75), lambda v: 2.0 * v - 1.0, [(0.25, 0.75), (0.0, 0.5)]),
-        # a zero derivative falls back to bisection
-        (cubic_flat, lambda v: 0.0 * v, [(0.0, 1.0), (0.25, 0.5), (0.29, 2.0)]),
-        # so does a derivative that is not finite
-        (linear, lambda v: np.inf + 0.0 * v, [(0.0, 1.0), (0.125, 0.7)]),
+        # a decreasing function: f(lo) > 0 > f(hi)
+        (lambda v: 0.7 - v, [(0.25, 0.75), (0.0, 1.0), (0.5, 3.0)]),
+        # f(lo) == 0, f(hi) == 0, both (a width-zero bracket), and neither
+        (linear, [(0.3, 0.9), (0.1, 0.3), (0.3, 0.3), (0.0, 1.0)]),
+        # roots at both ends
+        (lambda v: (v - 0.25) * (v - 0.75), [(0.25, 0.75), (0.0, 0.5)]),
+        # a triple root, flat to within rounding over a wide band
+        (lambda v: (v - 0.3) * (v - 0.3) * (v - 0.3), [(0.0, 1.0), (0.25, 0.5), (0.29, 2.0)]),
+        # a root that no float hits, so no halving ever evaluates a zero
+        (lambda v: v * v - 2.0, [(1.0, 2.0), (0.0, 1.5), (1.0, 1.4142135623730951)]),
     ]
 
 
 @pytest.mark.parametrize("case", range(5))
 def test_edge_cases_match_refine_root(case):
-    func, dfunc, brackets = edge_brackets()[case]
-    want = np.array([refine_root(func, dfunc, lo, hi) for lo, hi in brackets])
-    # tiled past the cutoff, the same brackets take the masked pass
+    func, brackets = edge_brackets()[case]
+    want = np.array([refine_root(func, lo, hi) for lo, hi in brackets])
+    assert all(x == lo for (lo, hi), x in zip(brackets, want) if lo == hi)
+    # tiled past the cutoff, the same brackets take bisect_many
     reps = -(-REFINE_LOOP_BELOW // len(brackets))
     for tiles in (1, reps):
         los, his = np.array(brackets * tiles).T
-        assert_same_floats(refine_roots(func, dfunc, los, his), np.tile(want, tiles))
+        owner = np.zeros(len(los), dtype=np.intp)
+        got = bisect_brackets(los, his, owner, lambda _: func, lambda _: func)
+        assert_same_floats(got, np.tile(want, tiles))
 
 
 @pytest.mark.parametrize("count", [1, REFINE_LOOP_BELOW + 3])
@@ -210,5 +284,9 @@ def test_non_bracket_raises(count):
     los = np.zeros(count)
     his = np.ones(count)
     his[-1] = 0.25  # v - 0.5 keeps its sign on [0, 0.25]
+
+    def func(v):
+        return v - 0.5
+
     with pytest.raises(ValueError, match="not a bracket"):
-        refine_roots(lambda v: v - 0.5, lambda v: 1.0 + 0.0 * v, los, his)
+        bisect_brackets(los, his, np.zeros(count, dtype=np.intp), lambda _: func, lambda _: func)

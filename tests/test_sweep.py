@@ -1,7 +1,11 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
+
+import chaoslab.sweep
 
 from chaoslab import (
     CSV_COLUMNS,
@@ -19,6 +23,12 @@ from chaoslab import (
     write_rows_csv,
     write_rows_json,
 )
+
+
+@pytest.fixture
+def pool_from_one_chunk(monkeypatch):
+    """Let run_sweep start worker processes on grids of one chunk or more."""
+    monkeypatch.setattr(chaoslab.sweep, "POOL_MIN_CHUNKS", 1)
 
 
 def _config(**overrides):
@@ -133,12 +143,24 @@ class TestRunSweep:
         assert [r.in_class_g for r in rows] == [False, True, True]
         assert rows[0].odd_cycle_cf is None
 
-    def test_parallel_equals_serial(self):
-        # 144 cells: more than one chunk, and above the pool threshold of 64
+    def test_parallel_equals_serial(self, pool_from_one_chunk):
+        # 144 cells: two full chunks and a partial one
         config = _config(lambda_spec=LambdaSpec(kind="window", count=24))
         assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
 
-    def test_parallel_equals_serial_with_blank_cells(self):
+    def test_small_grid_with_jobs_stays_serial(self, src_env, tmp_path):
+        # 144 cells are below the pool threshold: no process pool, not even its import
+        script = (
+            "import sys\n"
+            "from chaoslab import LambdaSpec, SweepConfig, run_sweep\n"
+            "config = SweepConfig(alpha_range=(0.6, 0.8, 3), beta_range=(0.4, 0.6, 2),\n"
+            "                     lambda_spec=LambdaSpec(kind='window', count=24))\n"
+            "assert len(run_sweep(config, jobs=2)) == 144\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env, check=True)
+
+    def test_parallel_equals_serial_with_blank_cells(self, pool_from_one_chunk):
         # 3 x 2 x 12 absolute lambdas, of which some fall outside each window
         config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
         serial = run_sweep(config, jobs=1)
@@ -163,8 +185,8 @@ class TestRunSweep:
         if kind == "absolute":
             assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
-    def test_pi_scan_reaches_every_cell(self):
-        # 64 cells or more take the worker-process path when jobs > 1
+    def test_pi_scan_reaches_every_cell(self, pool_from_one_chunk):
+        # one full chunk takes the worker-process path when jobs > 1
         config = _config(
             alpha_range=(0.1, 0.1, 1),
             beta_range=(0.1, 0.1, 1),
