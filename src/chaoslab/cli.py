@@ -148,7 +148,8 @@ def _add_scan_flags(p: _Parser) -> None:
     p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
     p.add_argument(
         "--grid-density", type=_int_at_least(2), default=GRID_BASE,
-        help="base scan density (>= 2); period-n scans use density*n points",
+        help="base scan density (>= 2): sizes the confined-set, gate and witness grids;"
+        " period-n orbit scans split laps no finer than the spacing of density*n points",
     )
 
 

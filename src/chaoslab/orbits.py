@@ -2,10 +2,14 @@
 
 Everything here is found by direct numerical search on the trapping
 interval, independent of the closed-form thresholds, so the two can be
-played against each other.  Searches run on fixed grids in a fixed order;
-identical inputs give bit-identical outputs.  An empty result means "not
-found within the scanned grid and period bound", never "does not exist" --
-callers that emit results are expected to attach the search bounds.
+played against each other.  Periodic orbits of period n are found lap by
+lap: [a, b] is cut at the turning points of f^n, the preimages of the
+critical point, into pieces where f^n is monotone, and brackets of
+f^n(x) - x are taken from those pieces.  The turbulence witness scans a
+fixed grid.  Searches run in a fixed order; identical inputs give
+bit-identical outputs.  An empty result means "not found within the scan
+and period bound", never "does not exist" -- callers that emit results are
+expected to attach the search bounds.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from .economy import (
     price_map,
     step,
 )
-from .rootfind import bisect_brackets, grid_brackets, scan_roots
+from .rootfind import bisect_brackets, scan_roots
 
 #: iterates at or beyond this magnitude stop a trajectory (map is unbounded above)
 OVERFLOW_GUARD = 1e12
 #: hard cap on recorded steps
 MAX_STEPS = 10**7
-#: base scan density; the period-n scan uses GRID_BASE*n points
+#: base scan density; the period-n orbit scan halves increasing laps down to
+#: the spacing of a GRID_BASE*n-point grid, the witness scan uses 2*GRID_BASE points
 GRID_BASE = 8192
-#: dedicated denser scan for the three-cycle search
+#: the three-cycle search halves increasing laps down to the spacing of this many points
 PERIOD3_SCAN_POINTS = 65536
 
 
@@ -98,6 +103,49 @@ def _iterate_array(f, xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
+def _lap_ends(
+    cells: Cells, a: np.ndarray, b: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the laps of f^n on each cell's [a, b], as (owner, points).
+
+    The turning points of f^n are the critical point m = sqrt(2*lam*beta)
+    and its preimages f^-k(m) for k < n.  Starting from m, each level is
+    the previous one pulled back through both inverse branches
+    p = (s +/- sqrt(s^2 - 8*lam*beta))/2, s = y + 4*lam*(1-alpha), keeping
+    the preimages strictly inside (a, b); a point outside [a, b] has no
+    preimage inside it.  Points come grouped by cell, ascending within it,
+    with a and b added and repeats dropped.
+    """
+    owner = np.arange(a.size)
+    level = np.sqrt(2.0 * cells.lam * cells.beta)
+    inside = (level > a) & (level < b)
+    owner, level = owner[inside], level[inside]
+    found_owner, found = [np.arange(a.size), owner, np.arange(a.size)], [a, level, b]
+    for _ in range(1, n):
+        lam, beta = cells.lam[owner], cells.beta[owner]
+        s = level + 4.0 * lam * (1.0 - cells.alpha[owner])
+        with np.errstate(invalid="ignore"):
+            right = 0.5 * (s + np.sqrt(s * s - 8.0 * lam * beta))
+        # the product of the two branches is 2*lam*beta; this avoids cancellation
+        left = 2.0 * lam * beta / right
+        owner = np.concatenate([owner, owner])
+        level = np.concatenate([left, right])
+        inside = (level > a[owner]) & (level < b[owner])  # false where s^2 < 8*lam*beta
+        owner, level = owner[inside], level[inside]
+        found_owner.append(owner)
+        found.append(level)
+    return _sorted_distinct(np.concatenate(found_owner), np.concatenate(found))
+
+
+def _sorted_distinct(owner: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, point) pairs sorted by owner, then point, with repeats dropped."""
+    order = np.lexsort((points, owner))
+    owner, points = owner[order], points[order]
+    fresh = np.ones(points.size, dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (points[1:] != points[:-1])
+    return owner[fresh], points[fresh]
+
+
 def _cycle_roots(
     params: Sequence[EconomyParams],
     intervals: Sequence[TrappingInterval],
@@ -107,23 +155,64 @@ def _cycle_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of f^n(x) - x on each cell's [a, b], as (owner, roots).
 
-    Each cell is scanned on its own n_points grid with scalar parameters;
-    the brackets of all cells are then bisected together, each under the
-    map of its own cell.  Roots come grouped by cell, ascending within it.
+    [a, b] is cut into the laps of f^n, where f^n is monotone.  On a
+    decreasing lap f^n(x) - x is strictly decreasing, so the lap is a
+    bracket exactly when its end values differ in sign.  An increasing lap
+    is halved breadth-first: f^n maps a piece [u, v] onto [f^n(u), f^n(v)],
+    so a piece with f^n(u) > v or f^n(v) < u holds no root and is dropped;
+    the rest are halved until no wider than (b - a)/(n_points - 1), the
+    spacing of an n_points grid, and become brackets where their end
+    values differ in sign.  An end value that is exactly zero is a
+    width-zero bracket.  Every step runs over all pieces of all cells at
+    once, each under the map of its own cell, and the brackets are
+    bisected together.  Roots come grouped by cell, ascending within it.
     """
-    maps = [price_map(p) for p in params]
-    found = []
-    for f, iv in zip(maps, intervals):
-        xs = np.linspace(iv.a, iv.b, n_points)
-        found.append(np.array(grid_brackets(_iterate_array(f, xs, n) - xs, xs)).reshape(-1, 2))
-    owner = np.repeat(np.arange(len(found)), [len(b) for b in found])
-    los, his = np.concatenate(found or [np.empty((0, 2))]).T
+    a = np.array([iv.a for iv in intervals], dtype=float)
+    b = np.array([iv.b for iv in intervals], dtype=float)
+    width = (b - a) / max(n_points - 1, 1)
+
+    def fn(rows, xs):
+        return _iterate_array(price_map(cells.take(rows)), xs, n)
+
+    ends_owner, ends = _lap_ends(cells, a, b, n)
+    f_ends = fn(ends_owner, ends)
+    lap = np.nonzero(ends_owner[1:] == ends_owner[:-1])[0]
+    laps = (ends_owner[lap], ends[lap], ends[lap + 1], f_ends[lap], f_ends[lap + 1])
+    rising = laps[4] > laps[3]
+    pieces = [tuple(col[~rising] for col in laps)]
+    owner, u, v, fu, fv = (col[rising] for col in laps)
+    while True:
+        live = (fu <= v) & (fv >= u)
+        done = live & (v - u <= width[owner])
+        pieces.append((owner[done], u[done], v[done], fu[done], fv[done]))
+        split = live & ~done
+        if not split.any():
+            break
+        owner, u, v, fu, fv = owner[split], u[split], v[split], fu[split], fv[split]
+        mid = 0.5 * (u + v)
+        fmid = fn(owner, mid)
+        owner = np.concatenate([owner, owner])
+        u, v = np.concatenate([u, mid]), np.concatenate([mid, v])
+        fu, fv = np.concatenate([fu, fmid]), np.concatenate([fmid, fv])
+
+    owner, u, v, fu, fv = (np.concatenate(col) for col in zip(*pieces))
+    hu, hv = fu - u, fv - v
+    sign_change = hu * hv < 0.0
+    zero_owner, zeros = _sorted_distinct(
+        np.concatenate([owner[hu == 0.0], owner[hv == 0.0]]),
+        np.concatenate([u[hu == 0.0], v[hv == 0.0]]),
+    )
+    owner = np.concatenate([owner[sign_change], zero_owner])
+    los = np.concatenate([u[sign_change], zeros])
+    his = np.concatenate([v[sign_change], zeros])
+    order = np.lexsort((los, owner))
+    owner, los, his = owner[order], los[order], his[order]
 
     def cycle_func(f):
-        return lambda v: _iterate_array(f, v, n) - v
+        return lambda x: _iterate_array(f, x, n) - x
 
     roots = bisect_brackets(
-        los, his, owner, lambda i: cycle_func(maps[i]),
+        los, his, owner, lambda i: cycle_func(price_map(params[i])),
         lambda rows: cycle_func(price_map(cells.take(rows))),
     )
     order = np.lexsort((roots, owner))
@@ -137,13 +226,13 @@ def _minimal_period_rows(
     n_points: int,
     eps_root: float,
 ) -> list[list[PeriodicOrbit]]:
-    """Canonical minimal-period-n orbits of every cell on its scan grid.
+    """Canonical minimal-period-n orbits of every cell, from the lap scan of f^n.
 
     Each cell's list holds orbits whose points start at the orbit's
     smallest price, sorted by that price and deduplicated within
-    10*eps_root.  Past the per-cell scan, every step runs once over the
-    roots of all cells, element by element with each root's own
-    parameters, so a cell gets the bits it would get on its own.
+    10*eps_root.  Every step runs once over the pieces or roots of all
+    cells, element by element with each one's own parameters, so a cell
+    gets the bits it would get on its own.
     """
     cells = Cells.of(params)
     owner, roots = _cycle_roots(params, intervals, cells, n, n_points)
@@ -203,7 +292,7 @@ def _orbits_by_period(
     scans: Iterable[tuple[int, int]],
     eps_root: float,
 ) -> Iterator[list[list[PeriodicOrbit]]]:
-    """Minimal-period-n orbits for each (n, n_points) scan: one list per cell, per n.
+    """Minimal-period-n orbits for each (n, n_points) lap scan: one list per cell, per n.
 
     Lazy: the lists of a period are built when they are asked for, so a
     caller that stops iterating skips the remaining scans.
@@ -222,11 +311,11 @@ def periodic_orbit_lists(
 ) -> list[list[PeriodicOrbit]]:
     """`find_periodic_orbits` of every cell of a chunk, given its trapping intervals.
 
-    For each period n, every cell is scanned on its own grid_base*n-point
-    grid, and the brackets of all cells are then bisected in one pass, as
-    are the divisor filter and the residual bound.  Each list is bit for
-    bit what `find_periodic_orbits` returns for that cell alone; orbits of
-    two cells are never merged, even for equal cells.
+    For each period n, the laps of f^n of all cells are scanned together,
+    and their brackets are bisected in one pass, as are the divisor filter
+    and the residual bound.  Each list is bit for bit what
+    `find_periodic_orbits` returns for that cell alone; orbits of two cells
+    are never merged, even for equal cells.
     """
     _check_max_period(max_period)
     out: list[list[PeriodicOrbit]] = [[] for _ in params]
@@ -247,10 +336,18 @@ def find_periodic_orbits(
 ) -> list[PeriodicOrbit]:
     """All periodic orbits of minimal period <= max_period the scan can see.
 
-    For each n the scan covers [a, b] with grid_base*n points.  A root of
-    f^n(x) - x is assigned minimal period n only if no proper divisor d of
-    n meets the eps_root residual bound, which keeps assigned periods
-    minimal and avoids phantom cycles at period-doubling parameters.
+    For each n, [a, b] is cut into the laps of f^n, the pieces between its
+    turning points, where f^n is monotone.  A decreasing lap holds at most
+    one root of f^n(x) - x and is a bracket when its end values differ in
+    sign.  An increasing lap is halved, dropping every piece that f^n maps
+    off itself, until the pieces are no wider than the spacing of a
+    grid_base*n-point grid; a piece is a bracket when its end values differ
+    in sign.  grid_base thus only bounds the smallest piece, and rarely
+    changes the roots found.
+
+    A root of f^n(x) - x is assigned minimal period n only if no proper
+    divisor d of n meets the eps_root residual bound, which keeps assigned
+    periods minimal and avoids phantom cycles at period-doubling parameters.
     Orbits are deduplicated (point sets matching within 10*eps_root) and
     returned sorted by (period, smallest price).  Only roots meeting the
     eps_root residual bound are kept, so ill-conditioned high-period cycles
@@ -279,13 +376,14 @@ def find_odd_cycle(
     """Smallest odd-minimal-period orbit (period >= 3) up to max_period.
 
     The odd periods 3, 5, ... are scanned in increasing order, with the
-    grids of find_periodic_orbits, and the search stops at the first period
-    that yields an orbit; its orbit with the smallest first point is
+    lap scans of find_periodic_orbits, and the search stops at the first
+    period that yields an orbit; its orbit with the smallest first point is
     returned.  The minimality filter for period n only consults divisors of
     n, all odd, so skipping the even periods changes no answer, and
     max_period is an upper bound on the scan, not a period that is always
-    reached.  None means no such orbit was located within the scanned
-    grids -- not a proof of non-existence.
+    reached.  At a quiet point each f^n has a few laps, most of them
+    dropped whole.  None means no such orbit was located within the
+    scanned laps -- not a proof of non-existence.
     """
     _check_max_period(max_period)
     scans = ((n, grid_base * n) for n in range(3, max_period + 1, 2))
@@ -342,7 +440,10 @@ def search_period3(
     eps_root: float = EPS_ROOT,
     n_scan: int = PERIOD3_SCAN_POINTS,
 ) -> PeriodicOrbit | None:
-    """Dedicated fine scan for a minimal-period-3 orbit on [a, b].
+    """Dedicated fine lap scan for a minimal-period-3 orbit on [a, b].
+
+    The increasing laps of f^3 are halved down to the spacing of an
+    n_scan-point grid.
 
     Exploratory: whether a three-cycle accompanies the odd-cycle condition
     is not settled, so both outcomes are acceptable and nothing beyond the

@@ -1,14 +1,17 @@
-"""Deterministic root location on fixed grids.
+"""Deterministic root location: brackets, then bisection.
 
-Every search in this package follows the same recipe: evaluate the target
-function on a fixed equispaced grid, bracket sign changes, then halve each
-bracket until a halving moves neither end.  That ends on the float next to
-the sign change, so no Newton polish follows.  `refine_root` runs the
-recipe on Python floats, `bisect_many` on many brackets at once as numpy
-arrays, and the two give every bracket the same float bit for bit;
-`bisect_brackets` picks one of them by the number of brackets.  Fixed grids
-and ordered processing make identical inputs produce bit-identical
-outputs; there is no randomness anywhere.
+Every search in this package follows the same recipe: find brackets where
+the target function changes sign, then halve each bracket until a halving
+moves neither end.  That ends on the float next to the sign change, so no
+Newton polish follows.  The brackets come from a fixed equispaced grid
+(`scan_brackets` and `scan_roots`, for the confined set and the turbulence
+witness) or from the laps of f^n (the periodic-orbit scans in `orbits`).
+`refine_root` runs the bisection on Python floats, `bisect_many` on many
+brackets at once as numpy arrays, and the two give every bracket the same
+float bit for bit;
+`bisect_brackets` picks one of them by the number of brackets.  Fixed
+grids, fixed lap cuts and ordered processing make identical inputs produce
+bit-identical outputs; there is no randomness anywhere.
 """
 
 from __future__ import annotations

@@ -173,8 +173,9 @@ def check_low_period_oracle(
     """Scan-found orbits of period <= 2 must match the closed forms to 1e-9.
 
     The orbits of all triples come from one `periodic_orbit_lists` call:
-    the period-n scan of each triple uses grid_base*n points, and the
-    brackets of all triples are bisected together, period by period.  The
+    the laps of f^n of all triples are scanned together, their increasing
+    laps split down to the spacing of grid_base*n points, and the brackets
+    of all triples are bisected together, period by period.  The
     two-cycle is only demanded from the scan when its points are
     comfortably separated from the fixed point (a zero discriminant makes
     the crossing tangent, which a sign scan legitimately cannot see).
@@ -224,7 +225,7 @@ def run_verify(
     """Run all four groups and return the collected evidence.
 
     pi_scan sizes the agreement grid's Pi-set scans, grid_base the
-    low-period oracle's orbit scans.
+    smallest lap piece of the low-period oracle's orbit scans.
     """
     result = VerifyResult(grid_shape=(alpha_count, beta_count, lambda_count))
     check_agreement(

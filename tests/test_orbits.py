@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from chaoslab import (
+    EPS_ROOT,
+    GRID_BASE,
     DomainError,
     EconomyParams,
     classify_closed_form,
@@ -18,8 +20,9 @@ from chaoslab import (
     step,
     trapping_interval,
 )
-from chaoslab.economy import TrappingInterval
-from chaoslab.orbits import PeriodicOrbit, periodic_orbit_lists
+import chaoslab.orbits
+from chaoslab.economy import Cells, TrappingInterval, price_map_derivative
+from chaoslab.orbits import PeriodicOrbit, _cycle_roots, _lap_ends, periodic_orbit_lists
 from chaoslab.rootfind import bisect_many, grid_brackets, scan_roots
 
 from conftest import exact_orbit, random_window_params
@@ -203,11 +206,25 @@ class TestPeriodicOrbitLists:
         # the chunk saw periods 3 to 6 with several cells bracketing at once
         assert sum(o.period >= 3 for orbits in chunk for o in orbits) > 40
 
-    def test_one_cell_equals_reference_loop(self, anchor, quiet):
+    def test_lap_scan_finds_every_grid_orbit(self, anchor, quiet):
+        # the uniform-grid search, kept as a reference: every orbit it finds,
+        # the lap scan finds too, with the same period and the same points.
+        # At the quiet point's mu = 2, where the two-cycle is born, rounding
+        # noise lets both report a "two-cycle" within 1e-4 of the fixed point,
+        # each where it happens to sample; such noise cycles are not compared
         for params in random_window_params(seed=779, count=8) + [anchor, quiet]:
             iv = trapping_interval(params)
-            want = [o for n in range(1, 6) for o in _reference_orbits(params, iv, n, 1024 * n)]
-            assert repr(find_periodic_orbits(params, iv, 5, grid_base=1024)) == repr(want), params
+            got = find_periodic_orbits(params, iv, 5, grid_base=1024)
+            z = fixed_point(params)
+            for n in range(1, 6):
+                for want in _reference_orbits(params, iv, n, 1024 * n):
+                    if n > 1 and max(abs(x - z) for x in want.points) <= 1e-4:
+                        continue
+                    assert any(
+                        o.period == n
+                        and max(abs(x - y) for x, y in zip(o.points, want.points)) <= 10 * EPS_ROOT
+                        for o in got
+                    ), (params, want)
 
     def test_default_grid_equals_one_cell_calls(self, anchor):
         params = [anchor, *random_window_params(seed=778, count=5)]
@@ -216,8 +233,8 @@ class TestPeriodicOrbitLists:
         assert repr(chunk) == repr(_one_cell_calls(params, intervals, 3))
 
     def test_exact_grid_zero_and_cell_without_brackets(self, anchor):
-        # on [0.5, 1.5] a 3-point grid lands on the anchor's fixed point 1.0,
-        # where f(x) - x is exactly zero: a width-zero bracket and no open one;
+        # f is one decreasing lap on [0.5, 1.5], whose first halving lands on
+        # the anchor's fixed point 1.0, where f(x) - x is exactly zero;
         # f(x) - x < 0 on all of [1.2, 1.3], so that cell has no bracket at all
         exact = TrappingInterval(a=0.5, m=1.0, b=1.5)
         empty = TrappingInterval(a=1.2, m=1.25, b=1.3)
@@ -257,6 +274,74 @@ class TestPeriodicOrbitLists:
         assert periodic_orbit_lists([], [], 3) == []
 
 
+class TestLapScan:
+    """The laps of f^n and the brackets `_cycle_roots` opens on them."""
+
+    @staticmethod
+    def _laps(params, iv, n):
+        cells = Cells.of([params])
+        _, ends = _lap_ends(cells, np.array([iv.a]), np.array([iv.b]), n)
+        return ends
+
+    def test_laps_are_monotone(self, anchor, quiet):
+        # (f^n)' = prod f'(f^j(x)) keeps one sign strictly inside every lap
+        # and changes sign from each lap to the next
+        for params in [anchor, quiet, *random_window_params(seed=781, count=6)]:
+            iv = trapping_interval(params)
+            f, df = price_map(params), price_map_derivative(params)
+            for n in range(1, 7):
+                ends = self._laps(params, iv, n)
+                assert ends[0] == iv.a and ends[-1] == iv.b and np.all(np.diff(ends) > 0)
+                signs = []
+                for u, v in zip(ends[:-1], ends[1:]):
+                    x = u + (v - u) * np.linspace(0.01, 0.99, 25)
+                    slope = np.ones_like(x)
+                    for _ in range(n):
+                        slope, x = slope * df(x), f(x)
+                    assert np.all(slope > 0) or np.all(slope < 0), (params, n, u, v)
+                    signs.append(slope[0] > 0)
+                assert all(s != t for s, t in zip(signs, signs[1:])), (params, n)
+
+    def test_decreasing_lap_with_sign_change_is_one_bracket(self, monkeypatch, anchor, quiet):
+        seen = []
+        real = chaoslab.orbits.bisect_brackets
+
+        def spy(los, his, owner, cell_func, chunk_func):
+            seen.append((np.array(los), np.array(his)))
+            return real(los, his, owner, cell_func, chunk_func)
+
+        monkeypatch.setattr(chaoslab.orbits, "bisect_brackets", spy)
+        checked = 0
+        for params in [anchor, quiet, *random_window_params(seed=782, count=6)]:
+            iv = trapping_interval(params)
+            for n in range(1, 8):
+                seen.clear()
+                _cycle_roots([params], [iv], Cells.of([params]), n, 64 * n)
+                ((los, his),) = seen
+                ends = self._laps(params, iv, n)
+                fn = _apply_n_array(price_map(params), ends, n)
+                for u, v, fu, fv in zip(ends[:-1], ends[1:], fn[:-1], fn[1:]):
+                    if fv <= fu and (fu - u) * (fv - v) < 0:
+                        inside = (los >= u) & (his <= v)
+                        assert inside.sum() == 1, (params, n, u, v)
+                        assert (los[inside][0], his[inside][0]) == (u, v)
+                        checked += 1
+        assert checked > 100
+
+    def test_exact_zero_at_a_lap_end_is_a_width_zero_bracket(self, anchor):
+        # the anchor's fixed point 1.0 is the left end of this interval
+        iv = TrappingInterval(a=1.0, m=1.2, b=1.5)
+        (orbits,) = periodic_orbit_lists([anchor], [iv], 1, grid_base=4)
+        assert orbits == [PeriodicOrbit(period=1, points=(1.0,), residual=0.0)]
+
+    def test_anchor_period15_roots_at_least_the_dense_grid_count(self, anchor):
+        # an 8M-point grid sees 26,085 sign changes of f^15(x) - x here, the
+        # default 122,880-point grid 12,507
+        iv = trapping_interval(anchor)
+        _, roots = _cycle_roots([anchor], [iv], Cells.of([anchor]), 15, 8192 * 15)
+        assert roots.size >= 26085
+
+
 class TestFindOddCycle:
     def test_anchor_has_one(self, anchor):
         orbit = find_odd_cycle(anchor, trapping_interval(anchor), 15)
@@ -266,6 +351,34 @@ class TestFindOddCycle:
 
     def test_quiet_point_has_none(self, quiet):
         assert find_odd_cycle(quiet, trapping_interval(quiet), 15) is None
+
+    def test_quiet_point_work_count(self, monkeypatch, quiet):
+        # array elements pushed through the map, times the iterations; a
+        # uniform grid of 8192*n points per odd n pushes 5,564,931
+        pushed = []
+        real = chaoslab.orbits._iterate_array
+
+        def spy(f, xs, n):
+            pushed.append(np.size(xs) * n)
+            return real(f, xs, n)
+
+        monkeypatch.setattr(chaoslab.orbits, "_iterate_array", spy)
+        assert find_odd_cycle(quiet, trapping_interval(quiet), 15) is None
+        assert 0 < sum(pushed) <= 10_000
+
+    def test_matches_the_grid_reference(self, anchor, quiet):
+        for params in random_window_params(seed=556, count=20) + [anchor, quiet]:
+            iv = trapping_interval(params)
+            want = next(
+                (orbits[0] for n in range(3, 10, 2)
+                 if (orbits := _reference_orbits(params, iv, n, GRID_BASE * n))),
+                None,
+            )
+            got = find_odd_cycle(params, iv, 9)
+            assert (got is None) == (want is None), params
+            if got is not None:
+                assert got.period == want.period, params
+                assert got.points == pytest.approx(want.points, rel=1e-12, abs=0.0), params
 
     def test_found_cycle_implies_chaotic_verdict(self):
         for params in random_window_params(seed=555, count=12):

@@ -55,8 +55,9 @@ def _oracle_fields(result):
 
 @pytest.mark.parametrize("grid_base", [GRID_BASE, 64, 3, 1])
 def test_oracle_matches_per_triple_loop(grid_base, anchor, quiet):
-    # the quiet point sits where the two-cycle is born; grid_base 1 gives the
-    # period-1 scan a single point, so every triple fails its fixed-orbit check
+    # the quiet point sits where the two-cycle is born; at grid_base 1 pieces
+    # of increasing laps are never split, and the fixed point, which lies on
+    # a decreasing lap of f, is still found
     triples = random_window_params(seed=909, count=40) + [
         anchor, quiet, EconomyParams(alpha=0.75, beta=0.5, lam=1.5),
     ]
@@ -65,8 +66,7 @@ def test_oracle_matches_per_triple_loop(grid_base, anchor, quiet):
     _reference_oracle(want, triples, 1e-10, grid_base)
     assert _oracle_fields(got) == _oracle_fields(want)
     assert got.oracle_checks == len(triples)
-    if grid_base == 1:
-        assert len(got.oracle_failures) == len(triples)
+    assert not [f for f in got.oracle_failures if "fixed orbit" in f]
 
 
 @pytest.mark.parametrize("argv,want", [
