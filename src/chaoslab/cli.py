@@ -148,8 +148,9 @@ def _add_scan_flags(p: _Parser) -> None:
     p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
     p.add_argument(
         "--grid-density", type=_int_at_least(2), default=GRID_BASE,
-        help="base scan density (>= 2): sizes the confined-set, gate and witness grids;"
-        " period-n orbit scans split laps no finer than the spacing of density*n points",
+        help="base scan density (>= 2): sets the confined-set grid (density//2), the"
+        " classify gate grid (density//16) and the smallest lap piece of every orbit,"
+        " three-cycle and witness scan (the spacing of density*n points at period n)",
     )
 
 
@@ -423,11 +424,9 @@ def cmd_certify(args) -> int:
         params, interval, args.max_period, eps_root=args.eps_root, grid_base=args.grid_density
     )
     witness = find_turbulence_witness(
-        params, interval, eps_root=args.eps_root, n_scan=2 * args.grid_density
+        params, interval, eps_root=args.eps_root, grid_base=args.grid_density
     )
-    three = search_period3(
-        params, interval, eps_root=args.eps_root, n_scan=8 * args.grid_density
-    )
+    three = search_period3(params, interval, eps_root=args.eps_root, grid_base=args.grid_density)
     doc = {
         "tool": {"name": "chaoslab", "version": __version__},
         "params": {"alpha": params.alpha, "beta": params.beta, "lambda": params.lam},
@@ -435,8 +434,6 @@ def cmd_certify(args) -> int:
         "search": {
             "max_period": args.max_period,
             "grid_base": args.grid_density,
-            "witness_scan_points": 2 * args.grid_density,
-            "period3_scan_points": 8 * args.grid_density,
             "eps_root": args.eps_root,
         },
         "odd_cycle": _orbit_doc(odd),

@@ -5,17 +5,19 @@ interval, independent of the closed-form thresholds, so the two can be
 played against each other.  Periodic orbits of period n are found lap by
 lap: [a, b] is cut at the turning points of f^n, the preimages of the
 critical point, into pieces where f^n is monotone, and brackets of
-f^n(x) - x are taken from those pieces.  The turbulence witness scans a
-fixed grid.  Searches run in a fixed order; identical inputs give
-bit-identical outputs.  An empty result means "not found within the scan
-and period bound", never "does not exist" -- callers that emit results are
-expected to attach the search bounds.
+f^n(x) - x are taken from those pieces.  The three-cycle is the period-3
+row of that scan; the turbulence witness starts from the roots of its
+period-2 row and finds preimages under f^2 one lap of f^2 at a time.
+Searches run in a fixed order; identical inputs give bit-identical
+outputs.  An empty result means "not found within the scan and period
+bound", never "does not exist" -- callers that emit results are expected
+to attach the search bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +37,8 @@ OVERFLOW_GUARD = 1e12
 #: hard cap on recorded steps
 MAX_STEPS = 10**7
 #: base scan density; the period-n orbit scan halves increasing laps down to
-#: the spacing of a GRID_BASE*n-point grid, the witness scan uses 2*GRID_BASE points
+#: the spacing of a GRID_BASE*n-point grid
 GRID_BASE = 8192
-#: the three-cycle search halves increasing laps down to the spacing of this many points
-PERIOD3_SCAN_POINTS = 65536
 
 
 @dataclass(frozen=True)
@@ -228,11 +228,12 @@ def _minimal_period_rows(
 ) -> list[list[PeriodicOrbit]]:
     """Canonical minimal-period-n orbits of every cell, from the lap scan of f^n.
 
-    Each cell's list holds orbits whose points start at the orbit's
-    smallest price, sorted by that price and deduplicated within
-    10*eps_root.  Every step runs once over the pieces or roots of all
-    cells, element by element with each one's own parameters, so a cell
-    gets the bits it would get on its own.
+    Every point of an orbit is a root of the scan; an orbit is kept once,
+    from the root that is its smallest price, so its points start there.
+    Each cell's list is sorted by that price, and an orbit matching the
+    one before it within 10*eps_root is dropped.  Every step runs once
+    over the pieces or roots of all cells, element by element with each
+    one's own parameters, so a cell gets the bits it would get on its own.
     """
     cells = Cells.of(params)
     owner, roots = _cycle_roots(params, intervals, cells, n, n_points)
@@ -253,52 +254,23 @@ def _minimal_period_rows(
     mat[:, 0] = roots
     for j in range(1, n):
         mat[:, j] = f(mat[:, j - 1])
-    ok = np.abs(f(mat[:, -1]) - mat[:, 0]) <= eps_root
-    owner, mat = owner[ok], mat[ok]
-    f = price_map(cells.take(owner))
-
-    # rotate every row to start at its smallest price, so all n roots of one
-    # orbit canonicalize identically, then dedupe neighbours of the same cell
-    start = np.argmin(mat, axis=1)
-    cols = (start[:, None] + np.arange(n)[None, :]) % n
-    mat = np.take_along_axis(mat, cols, axis=1)
     residual = np.abs(f(mat[:, -1]) - mat[:, 0])
-    order = np.lexsort((mat[:, 0], owner))
-    owner, points, residual = owner[order].tolist(), mat[order].tolist(), residual[order].tolist()
-    tol = 10.0 * eps_root
+    keep = (residual <= eps_root) & (np.argmin(mat, axis=1) == 0)
+    owner, mat, residual = owner[keep], mat[keep], residual[keep]
+    # roots come sorted by cell, then price, so a repeat of an orbit follows it
+    fresh = np.ones(owner.size, dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (
+        np.max(np.abs(np.diff(mat, axis=0)), axis=1) > 10.0 * eps_root
+    )
     out: list[list[PeriodicOrbit]] = [[] for _ in params]
-    for i, row, res in zip(owner, points, residual):
-        kept = out[i]
-        duplicate = False
-        for orbit in reversed(kept):
-            if row[0] - orbit.points[0] > tol:
-                break
-            if max(abs(x - y) for x, y in zip(row, orbit.points)) <= tol:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
+    for i, row, res in zip(owner[fresh].tolist(), mat[fresh].tolist(), residual[fresh].tolist()):
+        out[i].append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
     return out
 
 
 def _check_max_period(max_period: int) -> None:
     if not 1 <= max_period <= 20:
         raise ValueError(f"max_period must be in [1, 20], got {max_period!r}")
-
-
-def _orbits_by_period(
-    params: Sequence[EconomyParams],
-    intervals: Sequence[TrappingInterval],
-    scans: Iterable[tuple[int, int]],
-    eps_root: float,
-) -> Iterator[list[list[PeriodicOrbit]]]:
-    """Minimal-period-n orbits for each (n, n_points) lap scan: one list per cell, per n.
-
-    Lazy: the lists of a period are built when they are asked for, so a
-    caller that stops iterating skips the remaining scans.
-    """
-    for n, n_points in scans:
-        yield _minimal_period_rows(params, intervals, n, n_points, eps_root)
 
 
 def periodic_orbit_lists(
@@ -319,8 +291,8 @@ def periodic_orbit_lists(
     """
     _check_max_period(max_period)
     out: list[list[PeriodicOrbit]] = [[] for _ in params]
-    scans = ((n, grid_base * n) for n in range(1, max_period + 1))
-    for lists in _orbits_by_period(params, intervals, scans, eps_root):
+    for n in range(1, max_period + 1):
+        lists = _minimal_period_rows(params, intervals, n, grid_base * n, eps_root)
         for acc, orbits in zip(out, lists):
             acc.extend(orbits)
     return out
@@ -348,10 +320,13 @@ def find_periodic_orbits(
     A root of f^n(x) - x is assigned minimal period n only if no proper
     divisor d of n meets the eps_root residual bound, which keeps assigned
     periods minimal and avoids phantom cycles at period-doubling parameters.
-    Orbits are deduplicated (point sets matching within 10*eps_root) and
-    returned sorted by (period, smallest price).  Only roots meeting the
-    eps_root residual bound are kept, so ill-conditioned high-period cycles
-    may be dropped: an empty or short list is not evidence of absence.
+    Each orbit is reported once, from the root that is its smallest price,
+    with its residual |f^n(x0) - x0| at that root; an orbit matching the one
+    before it within 10*eps_root is dropped.  Orbits are returned sorted by
+    (period, smallest price).  Only roots meeting the eps_root residual
+    bound are kept, so ill-conditioned high-period cycles may be dropped,
+    as may a cycle whose smallest point the scan misses: an empty or short
+    list is not evidence of absence.
 
     Certificates are residual-based, with the usual caveat at exact
     bifurcation parameters: where a cycle degenerates (e.g. the two-cycle
@@ -386,8 +361,8 @@ def find_odd_cycle(
     scanned laps -- not a proof of non-existence.
     """
     _check_max_period(max_period)
-    scans = ((n, grid_base * n) for n in range(3, max_period + 1, 2))
-    for (orbits,) in _orbits_by_period([params], [interval], scans, eps_root):
+    for n in range(3, max_period + 1, 2):
+        (orbits,) = _minimal_period_rows([params], [interval], n, grid_base * n, eps_root)
         if orbits:
             return orbits[0]
     return None
@@ -398,30 +373,35 @@ def find_turbulence_witness(
     interval: TrappingInterval,
     *,
     eps_root: float = EPS_ROOT,
-    n_scan: int = 2 * GRID_BASE,
+    grid_base: int = GRID_BASE,
 ) -> TurbulenceWitness | None:
     """First turbulence witness for g = f^2, in deterministic scan order.
 
-    Fixed points x1 of g are enumerated in increasing order; for each, the
-    candidates x2 with g(x2) = x1 are tried nearest-first (preferring the
-    side closer to x1); x3 must solve g(x3) = x2 strictly between x1 and
-    x2.  Returns None when every combination fails.
+    Fixed points x1 of g are enumerated in increasing order, from the lap
+    scan of f^2 that `find_periodic_orbits` runs for period 2; for each,
+    the candidates x2 with g(x2) = x1 are tried nearest-first (preferring
+    the side closer to x1); x3 must solve g(x3) = x2 strictly between x1
+    and x2.  g - c is monotone on each lap of g, so the preimages of c are
+    found with one bracket per lap whose end values differ in sign, the
+    laps clipped to the x1..x2 span for x3.  Returns None when every
+    combination fails.
     """
     f = price_map(params)
-    a, b = interval.a, interval.b
 
     def g(x):
         return f(f(x))
 
-    fixed = scan_roots(lambda x: g(x) - x, a, b, n_scan)
-    for x1 in fixed:
-        pre = scan_roots(lambda x: g(x) - x1, a, b, n_scan)
+    cells = Cells.of([params])
+    _, fixed = _cycle_roots([params], [interval], cells, 2, 2 * grid_base)
+    _, laps = _lap_ends(cells, np.array([interval.a]), np.array([interval.b]), 2)
+    for x1 in fixed.tolist():
+        pre = scan_roots(lambda x: g(x) - x1, laps)
         candidates = [x2 for x2 in pre if abs(x2 - x1) > 10.0 * eps_root]
         candidates.sort(key=lambda x2: (abs(x2 - x1), x2))
         for x2 in candidates:
             lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-            inner = scan_roots(lambda x: g(x) - x2, lo, hi, n_scan)
-            for x3 in inner:
+            cuts = [lo, *laps[(laps > lo) & (laps < hi)].tolist(), hi]
+            for x3 in scan_roots(lambda x: g(x) - x2, cuts):
                 if lo < x3 < hi:
                     residuals = (
                         abs(float(g(x1)) - x1),
@@ -438,16 +418,16 @@ def search_period3(
     interval: TrappingInterval,
     *,
     eps_root: float = EPS_ROOT,
-    n_scan: int = PERIOD3_SCAN_POINTS,
+    grid_base: int = GRID_BASE,
 ) -> PeriodicOrbit | None:
-    """Dedicated fine lap scan for a minimal-period-3 orbit on [a, b].
+    """The first minimal-period-3 orbit of `find_periodic_orbits`, or None.
 
-    The increasing laps of f^3 are halved down to the spacing of an
-    n_scan-point grid.
+    Only the period-3 lap scan runs, its increasing laps halved down to the
+    spacing of a 3*grid_base-point grid.
 
     Exploratory: whether a three-cycle accompanies the odd-cycle condition
     is not settled, so both outcomes are acceptable and nothing beyond the
     residual bound is asserted about the result.
     """
-    (orbits,) = next(_orbits_by_period([params], [interval], [(3, n_scan)], eps_root))
+    (orbits,) = _minimal_period_rows([params], [interval], 3, 3 * grid_base, eps_root)
     return orbits[0] if orbits else None

@@ -3,15 +3,15 @@
 Every search in this package follows the same recipe: find brackets where
 the target function changes sign, then halve each bracket until a halving
 moves neither end.  That ends on the float next to the sign change, so no
-Newton polish follows.  The brackets come from a fixed equispaced grid
-(`scan_brackets` and `scan_roots`, for the confined set and the turbulence
-witness) or from the laps of f^n (the periodic-orbit scans in `orbits`).
-`refine_root` runs the bisection on Python floats, `bisect_many` on many
-brackets at once as numpy arrays, and the two give every bracket the same
-float bit for bit;
-`bisect_brackets` picks one of them by the number of brackets.  Fixed
-grids, fixed lap cuts and ordered processing make identical inputs produce
-bit-identical outputs; there is no randomness anywhere.
+Newton polish follows.  The brackets come from the pieces between sorted
+cut points where the function is monotone (`scan_roots`, fed the laps of
+f^n by `orbits`), or from a fixed equispaced grid (`scan_brackets`, for
+the confined set in `gate`).  `refine_root` runs the bisection on Python
+floats, `bisect_many` on many brackets at once as numpy arrays, and the
+two give every bracket the same float bit for bit; `bisect_brackets`
+picks one of them by the number of brackets.  Fixed cuts, fixed grids and
+ordered processing make identical inputs produce bit-identical outputs;
+there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def bisect_brackets(
 
 
 def grid_brackets(values: np.ndarray, xs: np.ndarray) -> list[tuple[float, float]]:
-    """Consecutive grid cells over which the sampled values change sign.
+    """Consecutive sorted points over which the sampled values change sign.
 
-    Exact zeros at grid points are returned as width-zero brackets so the
+    Exact zeros at the points are returned as width-zero brackets so the
     caller still sees them as roots.
     """
     out: list[tuple[float, float]] = []
@@ -113,16 +113,19 @@ def grid_brackets(values: np.ndarray, xs: np.ndarray) -> list[tuple[float, float
     return out
 
 
-def scan_roots(func: Callable, lo: float, hi: float, n: int) -> list[float]:
-    """All sign-change roots of func on [lo, hi], scanned on an n-point grid.
+def scan_roots(func: Callable, cuts: Sequence[float]) -> list[float]:
+    """The roots of func, monotone on each piece between consecutive sorted cuts.
 
-    func is evaluated on the grid as a numpy array; it must also accept
-    Python floats, because `bisect_brackets` refines a few brackets one at
-    a time on floats.  Roots are returned in increasing order.  Tangencies
-    (no sign change) are invisible to the scan, by design.
+    A piece whose end values differ in sign holds one root and is one
+    bracket; an exact zero at a cut is returned once, as is.  func is
+    evaluated at the cuts as a numpy array; it must also accept Python
+    floats, because `bisect_brackets` refines a few brackets one at a time
+    on floats.  Roots are returned in increasing order.  A root where func
+    touches zero at a cut without changing sign is seen only if the value
+    there is exactly zero.
     """
-    brackets = scan_brackets(func, lo, hi, n)
-    # a width-zero bracket is an exact grid zero, which bisection returns as is
+    cuts = np.asarray(cuts, dtype=float)
+    brackets = grid_brackets(func(cuts), cuts)
     los = np.array([b[0] for b in brackets])
     his = np.array([b[1] for b in brackets])
     owner = np.zeros(len(brackets), dtype=np.intp)

@@ -226,6 +226,21 @@ class TestNumericalClassifier:
         assert v.f2_of_m == pytest.approx(3 * math.sqrt(2) - 3, abs=1e-12)
         assert v.f2_of_m < math.sqrt(2)
 
+    @pytest.mark.parametrize("n_scan", [64, 4096, 65536])
+    def test_quiet_point_pi_noise_stays_at_the_fixed_point(self, quiet, n_scan):
+        # at mu = 2 exactly, f(f(x)) - x has a triple root at the fixed point
+        # 1.0 and rounding noise changes its sign anywhere within about 5e-6
+        # of it; the Pi set may keep such points, but no farther out, and
+        # they never reach a verdict.  The true Pi set {1} passes as well
+        iv = trapping_interval(quiet)
+        points = pi_set(quiet, iv, n_scan=n_scan).points
+        assert 1.0 in points
+        assert all(abs(x - 1.0) <= 1e-5 for x in points), points
+        v = classify_numerical(quiet, iv, n_scan=n_scan)
+        assert abs(v.pi_min - 1.0) <= 1e-5 and abs(v.pi_max - 1.0) <= 1e-5
+        for v in (v, classify_closed_form(quiet)):
+            assert not v.odd_cycle and not v.turbulent_second_iterate
+
     def test_odd_cycle_implies_turbulent(self):
         for params in random_window_params(seed=111, count=60):
             v = classify_numerical(params, trapping_interval(params))

@@ -23,7 +23,7 @@ from chaoslab import (
 import chaoslab.orbits
 from chaoslab.economy import Cells, TrappingInterval, price_map_derivative
 from chaoslab.orbits import PeriodicOrbit, _cycle_roots, _lap_ends, periodic_orbit_lists
-from chaoslab.rootfind import bisect_many, grid_brackets, scan_roots
+from chaoslab.rootfind import bisect_many, grid_brackets, refine_root
 
 from conftest import exact_orbit, random_window_params
 
@@ -136,6 +136,21 @@ class TestFindPeriodicOrbits:
         second = find_periodic_orbits(anchor, iv, 7)
         assert first == second
 
+    @pytest.mark.parametrize("lam,counts", [
+        (3.61, [1, 1, 2, 3, 6, 9, 16, 26, 48, 85, 158, 279]),
+        (3.9, [1, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]),
+    ])
+    def test_each_orbit_kept_once_from_its_minimum(self, lam, counts):
+        params = EconomyParams(alpha=0.75, beta=0.5, lam=lam)
+        orbits = find_periodic_orbits(params, trapping_interval(params), 12)
+        assert [sum(o.period == n for o in orbits) for n in range(1, 13)] == counts
+        assert all(o.points[0] == min(o.points) for o in orbits)
+        for n in range(1, 13):
+            pts = np.array([o.points for o in orbits if o.period == n])
+            gap = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+            np.fill_diagonal(gap, np.inf)
+            assert gap.min() > 10 * EPS_ROOT, n
+
     def test_degenerate_parameter_reports_only_certified_points(self, quiet):
         # at lam = 2.0 the two-cycle merges into the fixed point; anything
         # reported as period 2 must still carry a certified residual and can
@@ -183,6 +198,31 @@ def _reference_orbits(params, interval, n, n_points, eps_root=1e-10):
         if not any(max(abs(u - v) for u, v in zip(row, o.points)) <= 10.0 * eps_root for o in kept):
             kept.append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
     return kept
+
+
+def _grid_roots(func, lo, hi, n_points):
+    xs = np.linspace(lo, hi, n_points)
+    return [refine_root(func, u, v) for u, v in grid_brackets(func(xs), xs)]
+
+
+def _reference_witness(params, interval, n_points, eps_root=EPS_ROOT):
+    """The turbulence-witness search on uniform n_points grids, as (x1, x2, x3)."""
+    f = price_map(params)
+
+    def g(x):
+        return f(f(x))
+
+    for x1 in _grid_roots(lambda x: g(x) - x, interval.a, interval.b, n_points):
+        pre = _grid_roots(lambda x: g(x) - x1, interval.a, interval.b, n_points)
+        candidates = sorted((x2 for x2 in pre if abs(x2 - x1) > 10 * eps_root),
+                            key=lambda x2: (abs(x2 - x1), x2))
+        for x2 in candidates:
+            lo, hi = min(x1, x2), max(x1, x2)
+            for x3 in _grid_roots(lambda x: g(x) - x2, lo, hi, n_points):
+                defects = (g(x1) - x1, g(x2) - x1, g(x3) - x2)
+                if lo < x3 < hi and max(map(abs, defects)) <= eps_root:
+                    return x1, x2, x3
+    return None
 
 
 def _apply_n_array(f, x, n):
@@ -260,15 +300,30 @@ class TestPeriodicOrbitLists:
         # the fixed point, which the period-1 divisor explains
         calm = EconomyParams(alpha=0.75, beta=0.5, lam=1.5)
         iv = trapping_interval(calm)
-        f = price_map(calm)
-        roots = scan_roots(lambda x: f(f(x)) - x, iv.a, iv.b, 2048)
-        assert roots == pytest.approx([1.0])
+        _, roots = _cycle_roots([calm], [iv], Cells.of([calm]), 2, 2048)
+        assert roots.tolist() == pytest.approx([1.0])
         params = [anchor, calm, anchor]
         intervals = [trapping_interval(p) for p in params]
         chunk = periodic_orbit_lists(params, intervals, 2, grid_base=1024)
         assert repr(chunk) == repr(_one_cell_calls(params, intervals, 2, grid_base=1024))
         assert [o.period for o in chunk[1]] == [1]
         assert [o.period for o in chunk[0]] == [1, 2]
+
+    def test_near_equal_roots_of_one_cell_give_one_orbit(self, monkeypatch, anchor):
+        # every root found twice, 1e-13 apart: each orbit is kept once, from
+        # the first copy, and equal cells are still not merged
+        iv = trapping_interval(anchor)
+        want = periodic_orbit_lists([anchor, anchor], [iv, iv], 4, grid_base=64)
+        real = chaoslab.orbits._cycle_roots
+
+        def doubled(*args):
+            owner, roots = real(*args)
+            return np.repeat(owner, 2), np.repeat(roots, 2) + np.tile([0.0, 1e-13], roots.size)
+
+        monkeypatch.setattr(chaoslab.orbits, "_cycle_roots", doubled)
+        got = periodic_orbit_lists([anchor, anchor], [iv, iv], 4, grid_base=64)
+        assert repr(got) == repr(want)
+        assert {o.period for o in got[0]} == {1, 2, 3, 4}
 
     def test_empty_chunk(self):
         assert periodic_orbit_lists([], [], 3) == []
@@ -417,6 +472,18 @@ class TestTurbulenceWitness:
         iv = trapping_interval(anchor)
         assert find_turbulence_witness(anchor, iv) == find_turbulence_witness(anchor, iv)
 
+    def test_matches_the_grid_reference(self, anchor, quiet):
+        found = 0
+        for params in random_window_params(seed=557, count=40) + [anchor, quiet]:
+            iv = trapping_interval(params)
+            want = _reference_witness(params, iv, 2 * GRID_BASE)
+            got = find_turbulence_witness(params, iv)
+            assert (got is None) == (want is None), params
+            if got is not None:
+                assert (got.x1, got.x2, got.x3) == pytest.approx(want, rel=1e-12, abs=0.0), params
+                found += 1
+        assert 10 < found < 42
+
 
 class TestSearchPeriod3:
     def test_anchor_finds_three_cycle(self, anchor):
@@ -426,6 +493,22 @@ class TestSearchPeriod3:
         assert orbit.residual <= 1e-10
         # genuinely period three: not a fixed point
         assert abs(step(anchor, orbit.points[0]) - orbit.points[0]) > 1e-6
+
+    def test_is_the_first_three_cycle_of_the_full_scan(self, anchor, quiet):
+        found = 0
+        upper = random_window_params(seed=558, count=40, frac_range=(0.5, 0.95))
+        for params in upper + [anchor, quiet]:
+            iv = trapping_interval(params)
+            got = search_period3(params, iv)
+            full = [o for o in find_periodic_orbits(params, iv, 3) if o.period == 3]
+            assert got == (full[0] if full else None), params
+            # and against the uniform-grid search at 65,536 points
+            grid = _reference_orbits(params, iv, 3, 8 * GRID_BASE)
+            assert (got is None) == (not grid), params
+            if got is not None:
+                assert got.points == pytest.approx(grid[0].points, rel=1e-12, abs=0.0), params
+                found += 1
+        assert 10 < found < 42
 
     def test_below_chaos_threshold_empty(self):
         params = EconomyParams(alpha=0.75, beta=0.5, lam=1.5)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from chaoslab import EconomyParams, price_map, trapping_interval
 from chaoslab.economy import Cells
 from chaoslab.gate import _second_iterate
+from chaoslab.orbits import _lap_ends
 from chaoslab.rootfind import (
     REFINE_LOOP_BELOW,
     bisect_brackets,
@@ -225,26 +226,47 @@ def test_chunk_function_is_built_only_for_bisect_many():
 
 
 def test_scan_roots_on_many_brackets_matches_refine_root():
-    # one shared map with many roots: period-8 points of the anchor
+    # one shared map with many roots: the preimages of the fixed point 1.0
+    # under f^8 of the anchor, one per lap of f^8 whose end values straddle it
     params = EconomyParams(alpha=0.75, beta=0.5, lam=3.61)
     iv = trapping_interval(params)
     f = price_map(params)
 
-    def F(x):
+    def F8(x):
         for _ in range(8):
             x = f(x)
-        return x
+        return x - 1.0
 
-    def F8(x):
-        return F(x) - x
-
-    brackets = scan_brackets(F8, iv.a, iv.b, 8 * 8192)
-    assert len(brackets) > 2 * REFINE_LOOP_BELOW
-    want = [refine_root(F8, lo, hi) for lo, hi in brackets]
+    _, cuts = _lap_ends(Cells.of([params]), np.array([iv.a]), np.array([iv.b]), 8)
+    values = F8(cuts)
+    pieces = [(u, v) for u, v, fu, fv in zip(cuts[:-1], cuts[1:], values[:-1], values[1:])
+              if fu * fv < 0.0]
+    assert len(pieces) > 2 * REFINE_LOOP_BELOW
+    want = [refine_root(F8, lo, hi) for lo, hi in pieces]
     # the np.float64 route gives the same bits as Python floats
-    wrapped = [refine_root(lambda x: float(F8(np.float64(x))), lo, hi) for lo, hi in brackets]
+    wrapped = [refine_root(lambda x: float(F8(np.float64(x))), lo, hi) for lo, hi in pieces]
     assert wrapped == want
-    assert scan_roots(F8, iv.a, iv.b, 8 * 8192) == want
+    got = scan_roots(F8, cuts)
+    assert got == want
+    # one root inside each piece, and none elsewhere
+    assert all(lo < x < hi for x, (lo, hi) in zip(got, pieces))
+
+
+@pytest.mark.parametrize("cuts,want", [
+    ([0.5, 1.25, 3.0], [0.5, 2.0]),
+    ([0.0, 0.5, 1.25, 3.0], [0.5, 2.0]),
+    ([0.0, 1.25, 2.0, 3.0], [0.5, 2.0]),
+    ([1.25, 3.0], [2.0]),
+    ([0.75, 1.25], []),
+])
+def test_scan_roots_exact_zero_at_a_cut_is_returned_once(cuts, want):
+    # monotone between the cuts, with the turning point at 1.25; an exact
+    # zero at a cut ends two pieces, neither of which is then a bracket
+    def parabola(v):
+        return (v - 0.5) * (v - 2.0)
+
+    assert scan_roots(parabola, cuts) == want
+    assert scan_roots(parabola, np.array(cuts)) == want
 
 
 def edge_brackets():
