@@ -401,6 +401,12 @@ def closed_form_verdicts(
     ]
 
 
+def closed_form_rule(lam, lambda_chaos, lambda_max, eps_cmp):
+    """(odd_cycle, turbulent_second_iterate) by the thresholds, for floats or arrays alike."""
+    below_max = lam < lambda_max
+    return (lam > lambda_chaos + eps_cmp) & below_max, (lam >= lambda_chaos - eps_cmp) & below_max
+
+
 def _closed_form_verdict(params, lambda_chaos, lambda_max, m, pair, eps_cmp) -> ChaosVerdict:
     # one cell, on Python floats: as arrays this costs a lone call three times more
     f = price_map(params)
@@ -412,10 +418,10 @@ def _closed_form_verdict(params, lambda_chaos, lambda_max, m, pair, eps_cmp) -> 
         for w in pair:
             if a <= w <= m and a <= float(f(w)) <= m:
                 pts.append(w)
-    lam = params.lam
+    odd_cycle, turbulent = closed_form_rule(params.lam, lambda_chaos, lambda_max, eps_cmp)
     return ChaosVerdict(
-        odd_cycle=lam > lambda_chaos + eps_cmp and lam < lambda_max,
-        turbulent_second_iterate=lam >= lambda_chaos - eps_cmp and lam < lambda_max,
+        odd_cycle=odd_cycle,
+        turbulent_second_iterate=turbulent,
         f2_of_m=f2m,
         f3_of_m=f3m,
         pi_max=max(pts),

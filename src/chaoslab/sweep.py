@@ -9,11 +9,19 @@ wasting grid on inadmissible speeds.  Cells outside the window keep their
 threshold columns but leave every verdict column blank -- blank, not
 false -- so downstream plots stay honest.
 
-Cells are evaluated CHUNK_CELLS at a time: thresholds, intervals and gate
-grids as arrays over the chunk, and the Pi-set brackets of all its cells
-refined in one pass.  Every row is bit for bit the row its cell gets on
-its own (`evaluate_cell` is a one-cell chunk), so chunking never shows in
-the output.
+The criterion depends on a cell only through mu = 8*lam*(1-alpha)^2/beta.
+With z = beta/(2*(1-alpha)), the fixed point, f(p) = z*g(p/z) for
+g(x) = x + mu*(1/x - 1), which is the price map of the canonical cell
+(0.75, 0.5, mu): there 2*beta = 1 and 4*(1-alpha) = 1 exactly, so the map
+code evaluates g bit for bit.  A sweep therefore classifies each distinct
+mu of its in-window cells once, on the canonical cell: gate, intervals,
+Pi set and numerical verdicts, CHUNK_CELLS canonical cells at a time as
+arrays.  Each row takes in_class_g and the numerical verdicts from its
+canonical cell, and z times the canonical f2_of_m, f3_of_m and pi_max.
+The closed-form verdicts come from the row's own thresholds, so the two
+routes stay independent.  z and mu are computed as arrays over all cells,
+and every row is bit for bit the row its cell gets on its own
+(`evaluate_cell` is a one-cell sweep).
 """
 
 from __future__ import annotations
@@ -39,7 +47,9 @@ from .gate import (
     PI_SCAN_POINTS,
     Method,
     classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
+    closed_form_rule,
     closed_form_verdicts,
+    fixed_point,
     gate_reports,
     numerical_verdicts,
     period2_points,
@@ -50,10 +60,6 @@ from .gate import (
 SWEEP_GATE_GRID = 256
 #: cells evaluated together as arrays; bounds each gate grid at CHUNK_CELLS x (SWEEP_GATE_GRID + 1)
 CHUNK_CELLS = 64
-
-#: run_sweep starts worker processes only for grids of this many full chunks
-#: (4096 cells) or more; on smaller grids, two workers are no faster than one
-POOL_MIN_CHUNKS = 64
 
 #: (CSV column and JSON key, SweepRow field), in column order
 COLUMN_FIELDS = (
@@ -178,7 +184,7 @@ def evaluate_cell(
     pi_scan: int = PI_SCAN_POINTS,
 ) -> SweepRow:
     """Classify one grid cell; outside the window all verdict columns are None."""
-    return _eval_chunk([(alpha, beta, lam)], methods, eps_cmp, eps_root, pi_scan, gate_grid)[0]
+    return _eval_cells([(alpha, beta, lam)], methods, eps_cmp, eps_root, pi_scan, gate_grid)[0]
 
 
 def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
@@ -192,50 +198,46 @@ def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _eval_chunk(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID):
-    """Rows for the cells, in order, evaluated CHUNK_CELLS at a time as arrays."""
-    rows: list[SweepRow] = []
-    for start in range(0, len(cells), CHUNK_CELLS):
-        rows += _eval_cells(
-            cells[start:start + CHUNK_CELLS], methods, eps_cmp, eps_root, pi_scan, gate_grid
-        )
-    return rows
-
-
-def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid) -> list[SweepRow]:
+def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID):
+    """Rows for the cells, in order, each distinct mu classified once on its canonical cell."""
     params = [EconomyParams(alpha=alpha, beta=beta, lam=lam) for alpha, beta, lam in cells]
-    chunk = Cells.of(params)
-    th = cell_thresholds(chunk)
-    inside = ((th[0] < chunk.lam) & (chunk.lam < th[3])).tolist()
-    window = [p for p, ok in zip(params, inside) if ok]
-    verdicts = iter(_window_verdicts(window, methods, eps_cmp, eps_root, pi_scan, gate_grid))
+    raw = Cells.of(params)
+    th = cell_thresholds(raw)
+    inside = (th[0] < raw.lam) & (raw.lam < th[3])
+    # array expressions over all cells give a cell the bits it gets alone
+    z = fixed_point(raw)
+    mu = 8.0 * raw.lam * np.float_power(1.0 - raw.alpha, 2.0) / raw.beta
+    mus, canonical_of = np.unique(mu[inside], return_inverse=True)
+    canonical = [EconomyParams(alpha=0.75, beta=0.5, lam=x) for x in mus.tolist()]
+    verdicts = []
+    for start in range(0, len(canonical), CHUNK_CELLS):
+        verdicts += _window_verdicts(
+            canonical[start:start + CHUNK_CELLS], methods, eps_cmp, eps_root, pi_scan, gate_grid
+        )
+    which = iter(canonical_of.tolist())
+    odd_cf, turbulent_cf = closed_form_rule(raw.lam, th[2], th[3], eps_cmp)
 
     rows = []
-    for p, ok, *limits in zip(params, inside, *(t.tolist() for t in th)):
-        in_class_g, cf, num = next(verdicts) if ok else (False, None, None)
+    for p, ok, z_p, odd, turbulent, *limits in zip(
+        params, inside.tolist(), z.tolist(), odd_cf.tolist(), turbulent_cf.tolist(),
+        *(t.tolist() for t in th),
+    ):
+        in_class_g, cf, num = verdicts[next(which)] if ok else (False, None, None)
         audit = num if num is not None else cf
+        scaled = (None,) * 3 if audit is None else (
+            z_p * audit.f2_of_m, z_p * audit.f3_of_m, z_p * audit.pi_max
+        )
+        cf_pair = (None, None) if cf is None else (odd, turbulent)
+        num_pair = (None, None) if num is None else (num.odd_cycle, num.turbulent_second_iterate)
         rows.append(SweepRow(
-            p.alpha, p.beta, p.lam, *limits,
-            in_class_g=in_class_g,
-            f2_of_m=None if audit is None else audit.f2_of_m,
-            f3_of_m=None if audit is None else audit.f3_of_m,
-            pi_max=None if audit is None else audit.pi_max,
-            odd_cycle_cf=None if cf is None else cf.odd_cycle,
-            turbulent_cf=None if cf is None else cf.turbulent_second_iterate,
-            odd_cycle_num=None if num is None else num.odd_cycle,
-            turbulent_num=None if num is None else num.turbulent_second_iterate,
-            agree=None if cf is None or num is None else (
-                cf.odd_cycle == num.odd_cycle
-                and cf.turbulent_second_iterate == num.turbulent_second_iterate
-            ),
+            p.alpha, p.beta, p.lam, *limits, in_class_g, *scaled, *cf_pair, *num_pair,
+            agree=None if cf is None or num is None else cf_pair == num_pair,
         ))
     return rows
 
 
 def _window_verdicts(params, methods, eps_cmp, eps_root, pi_scan, gate_grid):
     """(in_class_g, closed-form verdict or None, numerical verdict or None) per cell."""
-    if not params:
-        return []
     a, m, b = cell_intervals(Cells.of(params))
     gates = gate_reports(params, a, m, b, gate_grid, eps_cmp)
     pairs = [period2_points(p) for p in params]
@@ -260,27 +262,10 @@ def run_sweep(
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
     pi_scan is the confined-set scan density handed to the numerical
-    classifier of every cell.  With jobs > 1 and at least POOL_MIN_CHUNKS
-    full chunks of cells, worker processes evaluate the grid's CHUNK_CELLS
-    slices; pool.map returns them in order, so the rows (and any emitted
-    file) are identical to a serial run.
+    classifier of every cell.  jobs is accepted and ignored: the sweep
+    runs in one process, since it classifies each distinct mu only once.
     """
-    cells = _cells(config)
-    if jobs <= 1 or len(cells) < POOL_MIN_CHUNKS * CHUNK_CELLS:
-        return _eval_chunk(cells, config.methods, eps_cmp, eps_root, pi_scan)
-    # imported here so that serial sweeps and every other command skip the cost
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [cells[i:i + CHUNK_CELLS] for i in range(0, len(cells), CHUNK_CELLS)]
-    n = len(chunks)
-    rows: list[SweepRow] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk_rows in pool.map(
-            _eval_chunk, chunks, [config.methods] * n, [eps_cmp] * n, [eps_root] * n,
-            [pi_scan] * n,
-        ):
-            rows += chunk_rows
-    return rows
+    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, pi_scan)
 
 
 def _fmt(value) -> str:

@@ -45,7 +45,7 @@ from .gate import (
     second_iterate_sign_report,
 )
 from .orbits import GRID_BASE, periodic_orbit_lists
-from .sweep import LambdaSpec, SweepConfig, _cells, _eval_chunk
+from .sweep import LambdaSpec, SweepConfig, _cells, _eval_cells
 
 #: showcase parameters used for the informational notes
 NOTE_POINT = (0.75, 0.5, 3.61)
@@ -119,7 +119,12 @@ def check_agreement(
     """Closed-form vs numerical verdicts over the grid; disagreements collected.
 
     The grid is a window-relative sweep over [0.05, 0.95]^2; its cells
-    outside the onset band are classified by the sweep's chunk code.
+    outside the onset band are classified by the sweep's code.  That code
+    runs the numerical route once per distinct mu = 8*lam*(1-alpha)^2/beta,
+    on the canonical cell (0.75, 0.5, mu), whose map is exactly the normal
+    form g(x) = x + mu*(1/x - 1) of every cell with that mu (f(p) = z*g(p/z)
+    at the fixed point z).  The closed-form verdicts still come from each
+    cell's own thresholds, so agreement still compares two routes.
     """
     config = SweepConfig(
         alpha_range=(0.05, 0.95, alpha_count),
@@ -132,7 +137,7 @@ def check_agreement(
     in_band = (np.abs(lam - lambda_chaos) <= eps_band * lambda_chaos).tolist()
     kept = [cell for cell, band in zip(cells, in_band) if not band]
     result.cells_skipped_band += len(cells) - len(kept)
-    rows = _eval_chunk(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root, pi_scan)
+    rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root, pi_scan)
     result.cells_checked += len(rows)
     for row in rows:
         if not row.agree:

@@ -1,8 +1,10 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chaoslab.sweep
@@ -16,6 +18,7 @@ from chaoslab import (
     classify_closed_form,
     classify_numerical,
     evaluate_cell,
+    gate_check,
     lambda_values,
     run_sweep,
     thresholds,
@@ -23,12 +26,6 @@ from chaoslab import (
     write_rows_csv,
     write_rows_json,
 )
-
-
-@pytest.fixture
-def pool_from_one_chunk(monkeypatch):
-    """Let run_sweep start worker processes on grids of one chunk or more."""
-    monkeypatch.setattr(chaoslab.sweep, "POOL_MIN_CHUNKS", 1)
 
 
 def _config(**overrides):
@@ -143,13 +140,13 @@ class TestRunSweep:
         assert [r.in_class_g for r in rows] == [False, True, True]
         assert rows[0].odd_cycle_cf is None
 
-    def test_parallel_equals_serial(self, pool_from_one_chunk):
-        # 144 cells: two full chunks and a partial one
+    def test_parallel_equals_serial(self):
+        # jobs is accepted and starts no workers: 144 cells, same rows
         config = _config(lambda_spec=LambdaSpec(kind="window", count=24))
         assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
 
     def test_small_grid_with_jobs_stays_serial(self, src_env, tmp_path):
-        # 144 cells are below the pool threshold: no process pool, not even its import
+        # no process pool, not even its import
         script = (
             "import sys\n"
             "from chaoslab import LambdaSpec, SweepConfig, run_sweep\n"
@@ -160,7 +157,7 @@ class TestRunSweep:
         )
         subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env, check=True)
 
-    def test_parallel_equals_serial_with_blank_cells(self, pool_from_one_chunk):
+    def test_parallel_equals_serial_with_blank_cells(self):
         # 3 x 2 x 12 absolute lambdas, of which some fall outside each window
         config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
         serial = run_sweep(config, jobs=1)
@@ -185,8 +182,8 @@ class TestRunSweep:
         if kind == "absolute":
             assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
-    def test_pi_scan_reaches_every_cell(self, pool_from_one_chunk):
-        # one full chunk takes the worker-process path when jobs > 1
+    def test_pi_scan_reaches_every_cell(self):
+        # 64 cells, a full chunk of canonical cells
         config = _config(
             alpha_range=(0.1, 0.1, 1),
             beta_range=(0.1, 0.1, 1),
@@ -203,6 +200,91 @@ class TestRunSweep:
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.5, 0.5, 1))
         for row in run_sweep(config):
             assert row.lambda_chaos / row.lambda_max == pytest.approx(25 / 36, abs=1e-12)
+
+
+def _pair(verdict):
+    return verdict.odd_cycle, verdict.turbulent_second_iterate
+
+
+def _off_band_cells(seed: int, count: int) -> list[tuple[float, float, float]]:
+    """Seeded window cells with mu at least 0.02 from the onset 25/9, beta log-uniform."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    while len(cells) < count:
+        alpha = float(rng.uniform(0.05, 0.95))
+        beta = math.exp(rng.uniform(math.log(1e-3), math.log(0.95)))
+        mu = float(rng.uniform(1.05, 3.95))
+        if abs(mu - 25 / 9) >= 0.02:
+            cells.append((alpha, beta, mu * beta / (8.0 * (1.0 - alpha) ** 2)))
+    return cells
+
+
+class TestCanonicalCells:
+    """Sweeps classify each distinct mu once, on the cell (0.75, 0.5, mu), and scale by z."""
+
+    def test_each_distinct_mu_is_classified_once(self, monkeypatch):
+        seen = {"pi_sets": 0, "gate_reports": 0}
+        for name in seen:
+            def spy(params, *args, _real=getattr(chaoslab.sweep, name), _name=name):
+                seen[_name] += len(params)
+                return _real(params, *args)
+
+            monkeypatch.setattr(chaoslab.sweep, name, spy)
+        config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.1, 0.9, 5),
+                         lambda_spec=LambdaSpec(kind="window", count=10))
+        rows = run_sweep(config)
+        assert len(rows) == 250
+        alpha, beta, lam = (np.array(v) for v in zip(*((r.alpha, r.beta, r.lam) for r in rows)))
+        distinct = len(np.unique(8.0 * lam * np.float_power(1.0 - alpha, 2.0) / beta))
+        assert distinct < 40
+        assert seen == {"pi_sets": distinct, "gate_reports": distinct}
+
+    def test_rows_match_the_raw_classifiers(self):
+        for alpha, beta, lam in _off_band_cells(7, 40):
+            row = evaluate_cell(alpha, beta, lam, (Method.CLOSED_FORM, Method.NUMERICAL))
+            params = EconomyParams(alpha=alpha, beta=beta, lam=lam)
+            cf = classify_closed_form(params)
+            num = classify_numerical(params, trapping_interval(params))
+            assert row.in_class_g and row.agree
+            assert (row.odd_cycle_cf, row.turbulent_cf) == _pair(cf)
+            assert (row.odd_cycle_num, row.turbulent_num) == _pair(num)
+            for field in ("f2_of_m", "f3_of_m", "pi_max"):
+                assert getattr(row, field) == pytest.approx(getattr(num, field), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "methods", [(Method.CLOSED_FORM, Method.NUMERICAL), (Method.CLOSED_FORM,)]
+    )
+    def test_cell_that_is_its_own_canonical_cell_is_unchanged(self, methods):
+        # at (0.75, 0.5) z = 1 and mu = lam exactly: rows equal the raw one-cell routes bit for bit
+        config = _config(alpha_range=(0.75, 0.75, 1), beta_range=(0.5, 0.5, 1),
+                         lambda_spec=LambdaSpec(kind="window", count=24), methods=methods)
+        for row in run_sweep(config):
+            params = EconomyParams(alpha=0.75, beta=0.5, lam=row.lam)
+            interval = trapping_interval(params)
+            cf = classify_closed_form(params)
+            num = classify_numerical(params, interval) if Method.NUMERICAL in methods else None
+            audit = num or cf
+            gate = gate_check(params, interval, chaoslab.sweep.SWEEP_GATE_GRID)
+            assert row.in_class_g == gate.in_class_g
+            assert (row.f2_of_m, row.f3_of_m, row.pi_max) == (
+                audit.f2_of_m, audit.f3_of_m, audit.pi_max
+            )
+            assert (row.odd_cycle_cf, row.turbulent_cf) == _pair(cf)
+            if num is not None:
+                assert (row.odd_cycle_num, row.turbulent_num) == _pair(num)
+
+    @pytest.mark.parametrize("alpha, beta, lam, odd_cycle", [
+        # mu = 2.5, z = 1e-10: on the raw cell the 1e-9 merge width folds z into a lower Pi point
+        (0.5, 1e-10, 1.25e-10, False),
+        # mu ~ 3.2, z = 2.5e6: on the raw cell the 1e-10 residual bound rejects every Pi point
+        (0.9999999, 0.5, 2.0e13, True),
+    ])
+    def test_known_fault_inputs_agree_in_a_sweep(self, alpha, beta, lam, odd_cycle):
+        config = _config(alpha_range=(alpha, alpha, 1), beta_range=(beta, beta, 1),
+                         lambda_spec=LambdaSpec(kind="absolute", count=1, lo=lam, hi=lam))
+        [row] = run_sweep(config)
+        assert row.in_class_g and row.agree is True
+        assert row.odd_cycle_num is odd_cycle and row.odd_cycle_cf is odd_cycle
 
 
 class TestWriters:
