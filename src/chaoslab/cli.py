@@ -187,10 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default=None, help="both | closed_form | numerical")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="accepted for compatibility (default from CHAOSLAB_JOBS); starts no workers",
-    )
+    p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes")
     _add_tol_flags(p)
     p.set_defaults(func=cmd_sweep)
 

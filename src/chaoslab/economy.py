@@ -246,12 +246,7 @@ def cell_intervals(cells: Cells | EconomyParams) -> tuple[np.ndarray, np.ndarray
     raises DomainError, as `step` would; the first degenerate one the
     ValueError of TrappingInterval.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.sqrt(2.0 * cells.lam * cells.beta)  # rounds as math.sqrt does
-        f = price_map(cells)
-        a = f(m)
-        b = f(a) + m
-    proper = (m > 0.0) & (a > 0.0) & (a < m) & (m < b)
+    a, m, b, proper = interval_arrays(cells)
     if not proper.all():
         i = np.argmin(proper)
         a_i, m_i, b_i = (float(np.atleast_1d(v)[i]) for v in (a, m, b))
@@ -260,6 +255,16 @@ def cell_intervals(cells: Cells | EconomyParams) -> tuple[np.ndarray, np.ndarray
                 raise DomainError(f"price must be positive, got {p!r}")
         TrappingInterval(a=a_i, m=m_i, b=b_i)
     return a, m, b
+
+
+def interval_arrays(cells: Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, m, b, proper) as in `cell_intervals`, raising nothing; proper marks 0 < a < m < b."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.sqrt(2.0 * cells.lam * cells.beta)  # rounds as math.sqrt does
+        f = price_map(cells)
+        a = f(m)
+        b = f(a) + m
+    return a, m, b, (m > 0.0) & (a > 0.0) & (a < m) & (m < b)
 
 
 def price_map(params: EconomyParams | Cells) -> Callable:

@@ -35,7 +35,6 @@ from .economy import (
     ConsistencyError,
     EconomyParams,
     TrappingInterval,
-    cell_thresholds,
     critical_point,
     price_map,
     price_map_derivative,
@@ -378,27 +377,10 @@ def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> 
     expressions for audit; the verdicts depend only on the thresholds.
     """
     th = require_window(params)
-    return _closed_form_verdict(
-        params, th.lambda_chaos, th.lambda_max, critical_point(params),
-        period2_points(params), eps_cmp,
-    )
-
-
-def closed_form_verdicts(
-    params: list[EconomyParams],
-    m: np.ndarray,
-    pairs: list[tuple[float, float] | None],
-    eps_cmp: float,
-) -> list[ChaosVerdict]:
-    """`classify_closed_form` of every cell of a chunk, all inside their windows.
-
-    m holds the cells' critical points, pairs their `period2_points`.
-    """
-    _, _, lambda_chaos, lambda_max = cell_thresholds(Cells.of(params))
-    return [
-        _closed_form_verdict(*cell, eps_cmp)
-        for cell in zip(params, lambda_chaos.tolist(), lambda_max.tolist(), m.tolist(), pairs)
-    ]
+    m, pair = critical_point(params), period2_points(params)
+    f2m, f3m, pi_max, pi_min = _closed_form_audit(params, m, pair)
+    odd_cycle, turbulent = closed_form_rule(params.lam, th.lambda_chaos, th.lambda_max, eps_cmp)
+    return ChaosVerdict(odd_cycle, turbulent, f2m, f3m, pi_max, pi_min, Method.CLOSED_FORM)
 
 
 def closed_form_rule(lam, lambda_chaos, lambda_max, eps_cmp):
@@ -407,7 +389,19 @@ def closed_form_rule(lam, lambda_chaos, lambda_max, eps_cmp):
     return (lam > lambda_chaos + eps_cmp) & below_max, (lam >= lambda_chaos - eps_cmp) & below_max
 
 
-def _closed_form_verdict(params, lambda_chaos, lambda_max, m, pair, eps_cmp) -> ChaosVerdict:
+def closed_form_audits(
+    params: list[EconomyParams],
+    m: np.ndarray,
+    pairs: list[tuple[float, float] | None],
+) -> list[tuple[float, float, float, float]]:
+    """The audit floats f2_of_m, f3_of_m, pi_max, pi_min of `classify_closed_form`, per cell.
+
+    m holds the cells' critical points, pairs their `period2_points`.
+    """
+    return [_closed_form_audit(*cell) for cell in zip(params, m.tolist(), pairs)]
+
+
+def _closed_form_audit(params, m, pair) -> tuple[float, float, float, float]:
     # one cell, on Python floats: as arrays this costs a lone call three times more
     f = price_map(params)
     a = float(f(m))
@@ -418,16 +412,7 @@ def _closed_form_verdict(params, lambda_chaos, lambda_max, m, pair, eps_cmp) -> 
         for w in pair:
             if a <= w <= m and a <= float(f(w)) <= m:
                 pts.append(w)
-    odd_cycle, turbulent = closed_form_rule(params.lam, lambda_chaos, lambda_max, eps_cmp)
-    return ChaosVerdict(
-        odd_cycle=odd_cycle,
-        turbulent_second_iterate=turbulent,
-        f2_of_m=f2m,
-        f3_of_m=f3m,
-        pi_max=max(pts),
-        pi_min=min(pts),
-        method=Method.CLOSED_FORM,
-    )
+    return f2m, f3m, max(pts), min(pts)
 
 
 def classify_numerical(

@@ -21,7 +21,11 @@ canonical cell, and z times the canonical f2_of_m, f3_of_m and pi_max.
 The closed-form verdicts come from the row's own thresholds, so the two
 routes stay independent.  z and mu are computed as arrays over all cells,
 and every row is bit for bit the row its cell gets on its own
-(`evaluate_cell` is a one-cell sweep).
+(`evaluate_cell` is a one-cell sweep).  A cell whose float mu rounds onto
+a window edge has no proper canonical interval; its row is blank, as
+outside the window.  Window-relative sweeps share mu across (alpha, beta);
+absolute-lambda sweeps have about one mu per cell, and from POOL_MIN_CHUNKS
+chunks of distinct mu on, `jobs` worker processes classify the chunks.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from .economy import (
     EconomyParams,
     cell_intervals,
     cell_thresholds,
+    interval_arrays,
     thresholds,
 )
 from .gate import (
     PI_SCAN_POINTS,
     Method,
     classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
+    closed_form_audits,
     closed_form_rule,
-    closed_form_verdicts,
     fixed_point,
     gate_reports,
     numerical_verdicts,
@@ -60,6 +65,10 @@ from .gate import (
 SWEEP_GATE_GRID = 256
 #: cells evaluated together as arrays; bounds each gate grid at CHUNK_CELLS x (SWEEP_GATE_GRID + 1)
 CHUNK_CELLS = 64
+
+#: run_sweep starts worker processes only for this many chunks of distinct mu
+#: (4096 canonical cells) or more; on fewer, two workers are no faster than one
+POOL_MIN_CHUNKS = 64
 
 #: (CSV column and JSON key, SweepRow field), in column order
 COLUMN_FIELDS = (
@@ -198,57 +207,65 @@ def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID):
+def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID, jobs=1):
     """Rows for the cells, in order, each distinct mu classified once on its canonical cell."""
     params = [EconomyParams(alpha=alpha, beta=beta, lam=lam) for alpha, beta, lam in cells]
     raw = Cells.of(params)
     th = cell_thresholds(raw)
-    inside = (th[0] < raw.lam) & (raw.lam < th[3])
     # array expressions over all cells give a cell the bits it gets alone
     z = fixed_point(raw)
     mu = 8.0 * raw.lam * np.float_power(1.0 - raw.alpha, 2.0) / raw.beta
+    # a cell whose float mu rounds onto a window edge has no proper canonical interval
+    proper = interval_arrays(Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu))[3]
+    inside = (th[0] < raw.lam) & (raw.lam < th[3]) & proper
     mus, canonical_of = np.unique(mu[inside], return_inverse=True)
-    canonical = [EconomyParams(alpha=0.75, beta=0.5, lam=x) for x in mus.tolist()]
-    verdicts = []
-    for start in range(0, len(canonical), CHUNK_CELLS):
-        verdicts += _window_verdicts(
-            canonical[start:start + CHUNK_CELLS], methods, eps_cmp, eps_root, pi_scan, gate_grid
-        )
+    mus = mus.tolist()
+    chunks = [mus[i:i + CHUNK_CELLS] for i in range(0, len(mus), CHUNK_CELLS)]
+    args = [[arg] * len(chunks) for arg in (methods, eps_cmp, eps_root, pi_scan, gate_grid)]
+    if jobs > 1 and len(chunks) >= POOL_MIN_CHUNKS:
+        # imported here so that serial sweeps and every other command skip the cost
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_window_verdicts, chunks, *args))
+    else:
+        done = map(_window_verdicts, chunks, *args)
+    verdicts = [v for chunk in done for v in chunk]
     which = iter(canonical_of.tolist())
     odd_cf, turbulent_cf = closed_form_rule(raw.lam, th[2], th[3], eps_cmp)
+    with_cf = Method.CLOSED_FORM in methods
 
     rows = []
     for p, ok, z_p, odd, turbulent, *limits in zip(
         params, inside.tolist(), z.tolist(), odd_cf.tolist(), turbulent_cf.tolist(),
         *(t.tolist() for t in th),
     ):
-        in_class_g, cf, num = verdicts[next(which)] if ok else (False, None, None)
-        audit = num if num is not None else cf
-        scaled = (None,) * 3 if audit is None else (
-            z_p * audit.f2_of_m, z_p * audit.f3_of_m, z_p * audit.pi_max
-        )
-        cf_pair = (None, None) if cf is None else (odd, turbulent)
+        in_class_g, audit, num = verdicts[next(which)] if ok else (False, None, None)
+        scaled = (None,) * 3 if audit is None else tuple(z_p * x for x in audit)
+        cf_pair = (odd, turbulent) if ok and with_cf else (None, None)
         num_pair = (None, None) if num is None else (num.odd_cycle, num.turbulent_second_iterate)
         rows.append(SweepRow(
             p.alpha, p.beta, p.lam, *limits, in_class_g, *scaled, *cf_pair, *num_pair,
-            agree=None if cf is None or num is None else cf_pair == num_pair,
+            agree=cf_pair == num_pair if ok and with_cf and num is not None else None,
         ))
     return rows
 
 
-def _window_verdicts(params, methods, eps_cmp, eps_root, pi_scan, gate_grid):
-    """(in_class_g, closed-form verdict or None, numerical verdict or None) per cell."""
+def _window_verdicts(mus, methods, eps_cmp, eps_root, pi_scan, gate_grid):
+    """(in_class_g, audit floats, numerical verdict or None) per canonical cell (0.75, 0.5, mu).
+
+    The audit floats are f2_of_m, f3_of_m and pi_max: the numerical
+    verdict's, or the closed form's when only the closed form runs.
+    """
+    params = [EconomyParams(alpha=0.75, beta=0.5, lam=mu) for mu in mus]
     a, m, b = cell_intervals(Cells.of(params))
     gates = gate_reports(params, a, m, b, gate_grid, eps_cmp)
     pairs = [period2_points(p) for p in params]
-    none = [None] * len(params)
-    cfs = closed_form_verdicts(params, m, pairs, eps_cmp) if Method.CLOSED_FORM in methods else none
-    nums = (
-        numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root, pi_scan), eps_cmp)
-        if Method.NUMERICAL in methods
-        else none
-    )
-    return [(g.in_class_g, cf, num) for g, cf, num in zip(gates, cfs, nums)]
+    if Method.NUMERICAL not in methods:
+        audits = closed_form_audits(params, m, pairs)
+        return [(g.in_class_g, audit[:3], None) for g, audit in zip(gates, audits)]
+    nums = numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root, pi_scan), eps_cmp)
+    return [(g.in_class_g, (n.f2_of_m, n.f3_of_m, n.pi_max), n) for g, n in zip(gates, nums)]
 
 
 def run_sweep(
@@ -262,10 +279,12 @@ def run_sweep(
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
     pi_scan is the confined-set scan density handed to the numerical
-    classifier of every cell.  jobs is accepted and ignored: the sweep
-    runs in one process, since it classifies each distinct mu only once.
+    classifier of every cell.  With jobs > 1 and at least POOL_MIN_CHUNKS
+    chunks of distinct mu, worker processes classify the CHUNK_CELLS
+    slices of canonical cells; pool.map returns them in order, so the rows
+    (and any emitted file) are identical to a serial run.
     """
-    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, pi_scan)
+    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, pi_scan, jobs=jobs)
 
 
 def _fmt(value) -> str:

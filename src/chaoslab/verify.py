@@ -3,8 +3,9 @@
 Four groups of evidence:
 
 1. verdict agreement of the closed-form and numerical classifiers over a
-   dense parameter grid (excluding a thin relative band around
-   lambda_chaos, where floating point cannot resolve the boundary);
+   dense parameter grid on the sweep's canonical cells (excluding a thin
+   relative band around lambda_chaos, where floating point cannot resolve
+   the boundary), and on the raw cells of random window triples;
 2. the second-iterate sign note: the transcribed piecewise rule for
    sign(f^2(m) - m) has its direction flipped, so the suite reports rule
    vs. direct evaluation side by side without asserting agreement;
@@ -39,8 +40,11 @@ from .gate import (
     EndpointGapReport,
     Method,
     SecondIterateSignReport,
+    classify_closed_form,
+    classify_numerical,
     endpoint_gap_report,
     fixed_point,
+    gate_check,
     period2_points,
     second_iterate_sign_report,
 )
@@ -74,6 +78,8 @@ class VerifyResult:
     cells_checked: int = 0
     cells_skipped_band: int = 0
     disagreements: list[Disagreement] = field(default_factory=list)
+    raw_checks: int = 0
+    raw_failures: list[str] = field(default_factory=list)
     sign_note_point: tuple[float, float, float] = NOTE_POINT
     sign_note: SecondIterateSignReport | None = None
     endpoint_note: EndpointGapReport | None = None
@@ -87,6 +93,7 @@ class VerifyResult:
     def passed(self) -> bool:
         return (
             not self.disagreements
+            and not self.raw_failures
             and not self.oracle_failures
             and self.factor_max_err <= 1e-9
             and self.oracle_max_err <= 1e-9
@@ -152,6 +159,40 @@ def check_agreement(
                     turb_num=row.turbulent_num,
                 )
             )
+
+
+def check_raw_cells(
+    result: VerifyResult,
+    triples: list[EconomyParams],
+    *,
+    eps_band: float = EPS_BAND,
+    eps_cmp: float = EPS_CMP,
+    eps_root: float = EPS_ROOT,
+    pi_scan: int = PI_SCAN_POINTS,
+) -> None:
+    """The gate and both verdicts of `classify` on each raw triple off the lambda_chaos band.
+
+    The grid runs the numerical route on canonical cells only.
+    """
+    for params in triples:
+        lambda_chaos = thresholds(params).lambda_chaos
+        if abs(params.lam - lambda_chaos) <= eps_band * lambda_chaos:
+            continue
+        interval = trapping_interval(params)
+        cf = classify_closed_form(params, eps_cmp=eps_cmp)
+        num = classify_numerical(
+            params, interval, eps_cmp=eps_cmp, eps_root=eps_root, n_scan=pi_scan
+        )
+        tag = f"alpha={params.alpha!r} beta={params.beta!r} lambda={params.lam!r}"
+        if not gate_check(params, interval, eps_cmp=eps_cmp).in_class_g:
+            result.raw_failures.append(f"{tag}: the gate rejects the trapping interval")
+        cf_pair = (cf.odd_cycle, cf.turbulent_second_iterate)
+        if cf_pair != (num.odd_cycle, num.turbulent_second_iterate):
+            result.raw_failures.append(
+                f"{tag}: odd {cf.odd_cycle}/{num.odd_cycle} "
+                f"turbulent {cf.turbulent_second_iterate}/{num.turbulent_second_iterate}"
+            )
+        result.raw_checks += 1
 
 
 def check_factor_identity(result: VerifyResult, triples: list[EconomyParams]) -> None:
@@ -229,8 +270,8 @@ def run_verify(
 ) -> VerifyResult:
     """Run all four groups and return the collected evidence.
 
-    pi_scan sizes the agreement grid's Pi-set scans, grid_base the
-    smallest lap piece of the low-period oracle's orbit scans.
+    pi_scan sizes the Pi-set scans of the grid and the raw triples,
+    grid_base the smallest lap piece of the low-period oracle's orbit scans.
     """
     result = VerifyResult(grid_shape=(alpha_count, beta_count, lambda_count))
     check_agreement(
@@ -242,6 +283,9 @@ def run_verify(
     result.endpoint_note = endpoint_gap_report(note_params)
     rng = np.random.default_rng(_SEED)
     sample = _window_triples(rng, triples)
+    check_raw_cells(
+        result, sample, eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root, pi_scan=pi_scan,
+    )
     check_factor_identity(result, sample)
     check_low_period_oracle(result, sample, eps_root=eps_root, grid_base=grid_base)
     return result
@@ -253,7 +297,7 @@ def format_report(result: VerifyResult) -> str:
     na, nb, nl = result.grid_shape
     status = "FAIL" if result.disagreements else "PASS"
     lines.append(
-        f"[{status}] cross-method agreement: {na}x{nb}x{nl} grid, "
+        f"[{status}] cross-method agreement: {na}x{nb}x{nl} grid on canonical cells, "
         f"{result.cells_checked} cells checked, "
         f"{result.cells_skipped_band} skipped inside the lambda_chaos band, "
         f"{len(result.disagreements)} disagreements"
@@ -263,6 +307,13 @@ def format_report(result: VerifyResult) -> str:
             f"    disagree at alpha={d.alpha!r} beta={d.beta!r} lambda={d.lam!r}: "
             f"odd {d.odd_cf}/{d.odd_num} turbulent {d.turb_cf}/{d.turb_num}"
         )
+    raw_status = "FAIL" if result.raw_failures else "PASS"
+    lines.append(
+        f"[{raw_status}] one-point routes on raw cells: {result.raw_checks} triples, "
+        f"{len(result.raw_failures)} failures"
+    )
+    for msg in result.raw_failures[:10]:
+        lines.append(f"    {msg}")
     if result.sign_note is not None:
         a, b, l = result.sign_note_point
         n = result.sign_note

@@ -11,6 +11,8 @@ import chaoslab.sweep
 
 from chaoslab import (
     CSV_COLUMNS,
+    EPS_CMP,
+    EPS_ROOT,
     EconomyParams,
     LambdaSpec,
     Method,
@@ -26,6 +28,23 @@ from chaoslab import (
     write_rows_csv,
     write_rows_json,
 )
+
+
+@pytest.fixture
+def pool_from_one_chunk(monkeypatch):
+    """Let run_sweep start worker processes on one chunk of distinct mu; list the pools started."""
+    import concurrent.futures
+
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(chaoslab.sweep, "POOL_MIN_CHUNKS", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return started
 
 
 def _config(**overrides):
@@ -140,30 +159,36 @@ class TestRunSweep:
         assert [r.in_class_g for r in rows] == [False, True, True]
         assert rows[0].odd_cycle_cf is None
 
-    def test_parallel_equals_serial(self):
-        # jobs is accepted and starts no workers: 144 cells, same rows
+    def test_parallel_equals_serial(self, pool_from_one_chunk):
+        # 144 cells whose distinct mu fill one chunk of canonical cells
         config = _config(lambda_spec=LambdaSpec(kind="window", count=24))
         assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
+        assert pool_from_one_chunk == [2]
 
     def test_small_grid_with_jobs_stays_serial(self, src_env, tmp_path):
-        # no process pool, not even its import
+        # fewer distinct mu than the pool threshold: no pool, not even its import; the 5,000
+        # window cells are more than the threshold, but share 198 mu
         script = (
             "import sys\n"
             "from chaoslab import LambdaSpec, SweepConfig, run_sweep\n"
             "config = SweepConfig(alpha_range=(0.6, 0.8, 3), beta_range=(0.4, 0.6, 2),\n"
             "                     lambda_spec=LambdaSpec(kind='window', count=24))\n"
             "assert len(run_sweep(config, jobs=2)) == 144\n"
+            "config = SweepConfig(alpha_range=(0.1, 0.9, 10), beta_range=(0.1, 0.9, 10),\n"
+            "                     lambda_spec=LambdaSpec(kind='window', count=50))\n"
+            "assert len(run_sweep(config, jobs=2)) == 5000\n"
             "assert 'concurrent.futures' not in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env, check=True)
 
-    def test_parallel_equals_serial_with_blank_cells(self):
+    def test_parallel_equals_serial_with_blank_cells(self, pool_from_one_chunk):
         # 3 x 2 x 12 absolute lambdas, of which some fall outside each window
         config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
         serial = run_sweep(config, jobs=1)
         assert len(serial) >= 64
         assert any(r.agree is None for r in serial) and any(r.agree for r in serial)
         assert run_sweep(config, jobs=2) == serial
+        assert pool_from_one_chunk == [2]
 
     @pytest.mark.parametrize("kind", ["window", "absolute"])
     @pytest.mark.parametrize(
@@ -182,8 +207,8 @@ class TestRunSweep:
         if kind == "absolute":
             assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
-    def test_pi_scan_reaches_every_cell(self):
-        # 64 cells, a full chunk of canonical cells
+    def test_pi_scan_reaches_every_cell(self, pool_from_one_chunk):
+        # 64 distinct mu, a full chunk of canonical cells: jobs > 1 takes the worker path
         config = _config(
             alpha_range=(0.1, 0.1, 1),
             beta_range=(0.1, 0.1, 1),
@@ -193,6 +218,7 @@ class TestRunSweep:
         want = [evaluate_cell(r.alpha, r.beta, r.lam, config.methods, pi_scan=8) for r in rows]
         assert rows == want
         assert run_sweep(config, jobs=2, pi_scan=8) == want
+        assert pool_from_one_chunk == [2]
         assert rows != run_sweep(config)
 
     def test_onset_ratio_constant_across_alpha(self):
@@ -285,6 +311,26 @@ class TestCanonicalCells:
         [row] = run_sweep(config)
         assert row.in_class_g and row.agree is True
         assert row.odd_cycle_num is odd_cycle and row.odd_cycle_cf is odd_cycle
+
+    def test_cells_one_ulp_inside_the_window_edges(self):
+        # a cell whose float mu rounds onto a window edge gets a blank row, not an exception
+        rng = np.random.default_rng(1)
+        cells = []
+        for alpha, beta in [(0.75, 0.5), *rng.uniform(0.05, 0.95, (30, 2)).tolist()]:
+            th = thresholds(EconomyParams(alpha=alpha, beta=beta, lam=1.0))
+            for lam in (math.nextafter(th.lambda_g_low, math.inf), math.nextafter(th.lambda_max, 0.0)):
+                cells.append((alpha, beta, lam))
+        methods = (Method.CLOSED_FORM, Method.NUMERICAL)
+        rows = chaoslab.sweep._eval_cells(
+            cells, methods, EPS_CMP, EPS_ROOT, chaoslab.sweep.PI_SCAN_POINTS
+        )
+        assert rows == [evaluate_cell(*cell, methods) for cell in cells]
+        # at (0.75, 0.5) mu = lam: 1 + ulp has a = m in floats, 4 - ulp is proper
+        assert rows[0].agree is None and not rows[0].in_class_g
+        assert rows[1].agree is True and rows[1].odd_cycle_num
+        assert {r.agree for r in rows} == {None, True}
+        for row in rows:
+            assert row.lambda_g_low < row.lam < row.lambda_max
 
 
 class TestWriters:

@@ -1,4 +1,4 @@
-"""The verify suite's low-period oracle: one chunk call against a per-triple loop."""
+"""The verify suite: the low-period oracle against a per-triple loop, and the raw-cell check."""
 
 import pytest
 
@@ -8,11 +8,14 @@ from chaoslab import (
     EconomyParams,
     find_periodic_orbits,
     fixed_point,
+    Method,
+    evaluate_cell,
     period2_points,
+    thresholds,
     trapping_interval,
 )
 from chaoslab.cli import main
-from chaoslab.verify import VerifyResult, check_low_period_oracle
+from chaoslab.verify import VerifyResult, check_low_period_oracle, check_raw_cells, format_report
 
 from conftest import random_window_params
 
@@ -87,3 +90,24 @@ def test_grid_density_reaches_the_oracle(monkeypatch, capsys, argv, want):
     capsys.readouterr()
     # one pass per period over all seven triples
     assert sorted(scans) == sorted((n, points, 7) for n, points in want)
+
+
+def test_raw_cells_catch_a_one_point_fault():
+    # mu = 2.5, z = 1e-10: the raw cell's Pi set loses z to the 1e-9 merge width, so the
+    # one-point numerical route reports chaos; the sweep's canonical cell does not
+    fault = EconomyParams(alpha=0.5, beta=1e-10, lam=1.25e-10)
+    assert evaluate_cell(0.5, 1e-10, 1.25e-10, (Method.CLOSED_FORM, Method.NUMERICAL)).agree
+    result = VerifyResult(grid_shape=(1, 1, 1))
+    check_raw_cells(result, [EconomyParams(alpha=0.75, beta=0.5, lam=3.61), fault])
+    assert result.raw_checks == 2 and not result.passed
+    assert result.raw_failures == [
+        "alpha=0.5 beta=1e-10 lambda=1.25e-10: odd False/True turbulent False/True"
+    ]
+    assert "[FAIL] one-point routes on raw cells: 2 triples, 1 failures" in format_report(result)
+
+
+def test_raw_cells_skip_the_onset_band():
+    lam = thresholds(EconomyParams(alpha=0.75, beta=0.5, lam=1.0)).lambda_chaos
+    result = VerifyResult(grid_shape=(1, 1, 1))
+    check_raw_cells(result, [EconomyParams(alpha=0.75, beta=0.5, lam=lam)])
+    assert result.raw_checks == 0 and result.passed
