@@ -144,19 +144,19 @@ def _add_param_flags(p: _Parser) -> None:
     )
 
 
-def _add_scan_flags(p: _Parser) -> None:
+def _add_tol_flags(p: _Parser, *, grid_density: bool = True, eps_cmp: bool = True) -> None:
     p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
-    p.add_argument(
-        "--grid-density", type=_int_at_least(2), default=GRID_BASE,
-        help="base scan density (>= 2): sets the confined-set grid (density//2), the"
-        " classify gate grid (density//16) and the smallest lap piece of every orbit,"
-        " three-cycle and witness scan (the spacing of density*n points at period n)",
-    )
-
-
-def _add_tol_flags(p: _Parser) -> None:
-    _add_scan_flags(p)
-    p.add_argument("--eps-cmp", type=float, default=EPS_CMP, help="threshold comparison tolerance")
+    if grid_density:
+        p.add_argument(
+            "--grid-density", type=_int_at_least(2), default=GRID_BASE,
+            help="base scan density (>= 2): sets the classify gate grid (density//16) and"
+            " the smallest lap piece of every orbit, three-cycle and witness scan (the"
+            " spacing of density*n points at period n)",
+        )
+    if eps_cmp:
+        p.add_argument(
+            "--eps-cmp", type=float, default=EPS_CMP, help="threshold comparison tolerance"
+        )
 
 
 def build_parser() -> _Parser:
@@ -188,12 +188,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, choices=("csv", "json"))
     p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes")
-    _add_tol_flags(p)
+    _add_tol_flags(p, grid_density=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("certify", help="emit orbit/turbulence certificates as JSON")
     _add_param_flags(p)
-    _add_scan_flags(p)
+    _add_tol_flags(p, eps_cmp=False)
     p.add_argument("--max-period", type=_positive_int, default=15)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
@@ -268,10 +268,7 @@ def cmd_classify(args) -> int:
         cf = classify_closed_form(params, eps_cmp=args.eps_cmp)
         doc["closed_form"] = _verdict_dict(cf)
     if Method.NUMERICAL in methods:
-        num = classify_numerical(
-            params, interval, eps_cmp=args.eps_cmp, eps_root=args.eps_root,
-            n_scan=max(2, args.grid_density // 2),
-        )
+        num = classify_numerical(params, interval, eps_cmp=args.eps_cmp, eps_root=args.eps_root)
         doc["numerical"] = _verdict_dict(num)
     if cf is not None and num is not None:
         doc["agree"] = (
@@ -388,18 +385,14 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     jobs = int(s["jobs"]) if s["jobs"] is not None else _default_jobs()
-    pi_scan = max(2, args.grid_density // 2)
-    rows = run_sweep(
-        config, jobs=jobs, eps_cmp=args.eps_cmp, eps_root=args.eps_root, pi_scan=pi_scan
-    )
+    rows = run_sweep(config, jobs=jobs, eps_cmp=args.eps_cmp, eps_root=args.eps_root)
     metadata = [
         f"chaoslab {__version__}",
         f"sweep alpha=({config.alpha_range[0]!r},{config.alpha_range[1]!r},{config.alpha_range[2]}) "
         f"beta=({config.beta_range[0]!r},{config.beta_range[1]!r},{config.beta_range[2]}) "
         f"lambda_mode={spec.kind} lambda_count={spec.count} "
         f"methods={'+'.join(m.value for m in methods)}",
-        f"grid_density={args.grid_density} pi_scan={pi_scan} gate_grid={SWEEP_GATE_GRID} "
-        f"eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
+        f"gate_grid={SWEEP_GATE_GRID} eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
     ]
     with _open_out(config.output_path) as fh:
         if config.output_format == "json":
@@ -481,7 +474,6 @@ def cmd_verify(args) -> int:
         triples=args.triples,
         eps_cmp=args.eps_cmp,
         eps_root=args.eps_root,
-        pi_scan=max(2, args.grid_density // 2),
         grid_base=args.grid_density,
     )
     print(format_report(result))

@@ -13,10 +13,15 @@ the period <= 2 points confined to the decreasing branch.  An odd-period
 cycle exists iff f^2(m) > m and f^3(m) > max(Pi); the second iterate is
 turbulent iff f^2(m) > m and f^3(m) >= min(Pi).
 
+Pi needs no search: with c = 4*(1-alpha), f(f(x)) - x factors as
+-2*lam*(c*x - 2*beta)*q(x) / (x**2*f(x)), q(x) = x**2 - c*lam*x + beta*lam,
+so its candidates are the fixed point and the two roots of q
+(`period2_points`).
+
 Both tests are implemented twice and cross-checked: `classify_numerical`
-evaluates the criterion directly (iteration plus root search for Pi), and
-`classify_closed_form` evaluates the equivalent lambda-threshold
-inequalities.  Agreement of the two on the whole parameter window is the
+evaluates the criterion directly (iteration plus Pi from those
+candidates), and `classify_closed_form` evaluates the equivalent
+lambda-threshold inequalities.  Agreement of the two on the whole parameter window is the
 package's central invariant and is exercised by the verify suite.
 """
 
@@ -41,10 +46,7 @@ from .economy import (
     require_window,
     thresholds,
 )
-from .rootfind import bisect_brackets, dedupe_sorted, scan_brackets
-
-#: default scan density for the Pi-set safety net on [a, m]
-PI_SCAN_POINTS = 4096
+from .rootfind import dedupe_sorted, refine_root
 
 
 class Method(str, enum.Enum):
@@ -244,52 +246,29 @@ def _second_iterate(params: EconomyParams | Cells):
     return F
 
 
-def _polish_period2(F, dF, x: float) -> float:
-    # guarded Newton on F(x) = f(f(x)) - x from a closed-form start; keeps
-    # the best residual seen
-    fx = F(x)
-    best_x, best_f = x, abs(fx)
-    for _ in range(50):
-        d = dF(x)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        nxt = x - fx / d
-        if not nxt > 0.0 or nxt == x:
-            break
-        x = nxt
-        fx = F(x)
-        r = abs(fx)
-        if r < best_f:
-            best_x, best_f = x, r
-        else:
-            break
-    return best_x
-
-
 def period2_points(params: EconomyParams) -> tuple[float, float] | None:
-    """The pair of two-cycle prices, or None when no real pair exists.
+    """The pair of two-cycle prices, ordered w1 <= w2, or None when no real pair exists.
 
-    Roots of f(f(p)) = p other than the fixed point are
-    2*lam*(1-alpha) -/+ sqrt(4*lam**2*(1-alpha)**2 - beta*lam); the pair is
-    returned Newton-polished, ordered w1 <= w2.  A zero discriminant
-    returns the degenerate pair (both entries equal the fixed point).
+    The pair is the roots of q(x) = x**2 - c*lam*x + beta*lam, the factor
+    of f(f(x)) - x other than the fixed point z (module docstring).  It is
+    born at q(z) = 0 (mu = 2), returned as (z, z).  For q(z) < 0, q > 0 at
+    z/2 (beta**2/c**2) and at c*lam (beta*lam), so each of [z/2, z] and
+    [z, c*lam] brackets one root, which `refine_root` bisects.
     """
-    one_minus_alpha = 1.0 - params.alpha
-    disc = 4.0 * params.lam**2 * one_minus_alpha**2 - params.beta * params.lam
-    if disc < 0.0:
+    c = 4.0 * (1.0 - params.alpha)
+    c_lam = c * params.lam
+    beta_lam = params.beta * params.lam
+
+    def q(x):
+        return x * (x - c_lam) + beta_lam
+
+    z = fixed_point(params)
+    qz = q(z)
+    if qz > 0.0:
         return None
-    root = math.sqrt(disc)
-    center = 2.0 * params.lam * one_minus_alpha
-    f = price_map(params)
-    df = price_map_derivative(params)
-
-    def dF(x):
-        return df(f(x)) * df(x) - 1.0
-
-    F = _second_iterate(params)
-    w1 = _polish_period2(F, dF, center - root)
-    w2 = _polish_period2(F, dF, center + root)
-    return (w1, w2) if w1 <= w2 else (w2, w1)
+    if qz == 0.0:
+        return z, z
+    return refine_root(q, 0.5 * z, z), refine_root(q, z, c_lam)
 
 
 def pi_set(
@@ -297,20 +276,18 @@ def pi_set(
     interval: TrappingInterval,
     *,
     eps_root: float = EPS_ROOT,
-    n_scan: int = PI_SCAN_POINTS,
 ) -> PiSet:
     """Confined period <= 2 points on the decreasing branch [a, m].
 
-    Candidates come first from the closed forms (fixed point, two-cycle
-    pair) and then from a sign-change scan of f(f(x)) - x over an
-    n_scan-point grid on [a, m] as a safety net; each candidate must lie in
-    [a, m], have its image in [a, m], and satisfy the eps_root residual
-    bound.  Duplicates merge within 10*eps_root.  The fixed point always
-    qualifies inside the window, so an empty result signals a numerics bug
-    and raises.
+    By the factorization of f(f(x)) - x (module docstring), the fixed
+    point and the two-cycle pair are its only roots, so they are the only
+    candidates.  Each must lie in [a, m], have its image in [a, m], and
+    satisfy the eps_root residual bound.  Duplicates merge within
+    10*eps_root.  The fixed point always qualifies inside the window, so
+    an empty result signals a numerics bug and raises.
     """
     a, m = np.array([interval.a]), np.array([interval.m])
-    return pi_sets([params], a, m, [period2_points(params)], eps_root, n_scan)[0]
+    return pi_sets([params], a, m, [period2_points(params)], eps_root)[0]
 
 
 def pi_sets(
@@ -319,45 +296,17 @@ def pi_sets(
     m: np.ndarray,
     pairs: list[tuple[float, float] | None],
     eps_root: float,
-    n_scan: int,
 ) -> list[PiSet]:
-    """`pi_set` of every cell of a chunk, given its intervals and `period2_points`.
-
-    Each cell's safety-net scan runs on its own grid, with scalar
-    parameters; the brackets of all cells are then refined together.
-    """
-    funcs = [_second_iterate(p) for p in params]
-    owner: list[int] = []
-    brackets: list[tuple[float, float]] = []
-    for i, (F, a_p, m_p) in enumerate(zip(funcs, a.tolist(), m.tolist())):
-        found = scan_brackets(F, a_p, m_p, n_scan)
-        owner += [i] * len(found)
-        brackets += found
-    los, his = np.array(brackets).reshape(-1, 2).T
-    # bracket j of the chunk function evaluates the map of its own cell
-    roots = bisect_brackets(
-        los, his, np.array(owner, dtype=np.intp), funcs.__getitem__,
-        lambda rows: _second_iterate(Cells.of(params).take(rows)),
-    )
-    scanned: list[list[float]] = [[] for _ in params]
-    for i, x in zip(owner, roots.tolist()):
-        scanned[i].append(x)
-
+    """`pi_set` of every cell of a chunk, given its intervals and `period2_points`."""
     out = []
-    for p, F, a_p, m_p, pair, xs in zip(params, funcs, a.tolist(), m.tolist(), pairs, scanned):
+    for p, a_p, m_p, pair in zip(params, a.tolist(), m.tolist(), pairs):
         f = price_map(p)
-        candidates = [fixed_point(p), *(pair or ()), *xs]
-        slack = eps_root
-        kept = []
-        for x in sorted(candidates):
-            if not (a_p - slack <= x <= m_p + slack):
-                continue
-            fx = float(f(x))
-            if not (a_p - slack <= fx <= m_p + slack):
-                continue
-            if abs(float(F(x))) > eps_root:
-                continue
-            kept.append(x)
+        F = _second_iterate(p)
+        lo, hi = a_p - eps_root, m_p + eps_root
+        kept = [
+            x for x in sorted([fixed_point(p), *(pair or ())])
+            if lo <= x <= hi and lo <= float(f(x)) <= hi and abs(float(F(x))) <= eps_root
+        ]
         merged = dedupe_sorted(kept, 10.0 * eps_root)
         if not merged:
             raise ConsistencyError(
@@ -421,7 +370,7 @@ def classify_numerical(
     *,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    n_scan: int = PI_SCAN_POINTS,
+    n_scan: int | None = None,
 ) -> ChaosVerdict:
     """Direct evaluation of the two-condition criterion.
 
@@ -429,8 +378,9 @@ def classify_numerical(
     `pi_set`.  Meaningful once `gate_check` accepts the interval.  Within
     eps_cmp of a threshold the verdict is unreliable (floating point
     cannot resolve equality); the verify suite excludes that band.
+    n_scan is accepted and ignored: `pi_set` has no scan to size.
     """
-    pi = pi_set(params, interval, eps_root=eps_root, n_scan=n_scan)
+    pi = pi_set(params, interval, eps_root=eps_root)
     return _numerical_verdict(params, interval.m, pi, eps_cmp)
 
 

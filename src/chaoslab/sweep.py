@@ -49,7 +49,6 @@ from .economy import (
     thresholds,
 )
 from .gate import (
-    PI_SCAN_POINTS,
     Method,
     classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
     closed_form_audits,
@@ -190,10 +189,9 @@ def evaluate_cell(
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
     gate_grid: int = SWEEP_GATE_GRID,
-    pi_scan: int = PI_SCAN_POINTS,
 ) -> SweepRow:
     """Classify one grid cell; outside the window all verdict columns are None."""
-    return _eval_cells([(alpha, beta, lam)], methods, eps_cmp, eps_root, pi_scan, gate_grid)[0]
+    return _eval_cells([(alpha, beta, lam)], methods, eps_cmp, eps_root, gate_grid)[0]
 
 
 def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
@@ -207,7 +205,7 @@ def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
     return out
 
 
-def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE_GRID, jobs=1):
+def _eval_cells(cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_GRID, jobs=1):
     """Rows for the cells, in order, each distinct mu classified once on its canonical cell."""
     params = [EconomyParams(alpha=alpha, beta=beta, lam=lam) for alpha, beta, lam in cells]
     raw = Cells.of(params)
@@ -221,7 +219,7 @@ def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE
     mus, canonical_of = np.unique(mu[inside], return_inverse=True)
     mus = mus.tolist()
     chunks = [mus[i:i + CHUNK_CELLS] for i in range(0, len(mus), CHUNK_CELLS)]
-    args = [[arg] * len(chunks) for arg in (methods, eps_cmp, eps_root, pi_scan, gate_grid)]
+    args = [[arg] * len(chunks) for arg in (methods, eps_cmp, eps_root, gate_grid)]
     if jobs > 1 and len(chunks) >= POOL_MIN_CHUNKS:
         # imported here so that serial sweeps and every other command skip the cost
         from concurrent.futures import ProcessPoolExecutor
@@ -251,7 +249,7 @@ def _eval_cells(cells, methods, eps_cmp, eps_root, pi_scan, gate_grid=SWEEP_GATE
     return rows
 
 
-def _window_verdicts(mus, methods, eps_cmp, eps_root, pi_scan, gate_grid):
+def _window_verdicts(mus, methods, eps_cmp, eps_root, gate_grid):
     """(in_class_g, audit floats, numerical verdict or None) per canonical cell (0.75, 0.5, mu).
 
     The audit floats are f2_of_m, f3_of_m and pi_max: the numerical
@@ -264,7 +262,7 @@ def _window_verdicts(mus, methods, eps_cmp, eps_root, pi_scan, gate_grid):
     if Method.NUMERICAL not in methods:
         audits = closed_form_audits(params, m, pairs)
         return [(g.in_class_g, audit[:3], None) for g, audit in zip(gates, audits)]
-    nums = numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root, pi_scan), eps_cmp)
+    nums = numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root), eps_cmp)
     return [(g.in_class_g, (n.f2_of_m, n.f3_of_m, n.pi_max), n) for g, n in zip(gates, nums)]
 
 
@@ -274,17 +272,15 @@ def run_sweep(
     jobs: int = 1,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    pi_scan: int = PI_SCAN_POINTS,
 ) -> list[SweepRow]:
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
-    pi_scan is the confined-set scan density handed to the numerical
-    classifier of every cell.  With jobs > 1 and at least POOL_MIN_CHUNKS
-    chunks of distinct mu, worker processes classify the CHUNK_CELLS
-    slices of canonical cells; pool.map returns them in order, so the rows
-    (and any emitted file) are identical to a serial run.
+    With jobs > 1 and at least POOL_MIN_CHUNKS chunks of distinct mu,
+    worker processes classify the CHUNK_CELLS slices of canonical cells;
+    pool.map returns them in order, so the rows (and any emitted file) are
+    identical to a serial run.
     """
-    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, pi_scan, jobs=jobs)
+    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, jobs=jobs)
 
 
 def _fmt(value) -> str:

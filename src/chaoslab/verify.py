@@ -36,7 +36,6 @@ from .economy import (
     trapping_interval,
 )
 from .gate import (
-    PI_SCAN_POINTS,
     EndpointGapReport,
     Method,
     SecondIterateSignReport,
@@ -121,7 +120,6 @@ def check_agreement(
     eps_band: float = EPS_BAND,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    pi_scan: int = PI_SCAN_POINTS,
 ) -> None:
     """Closed-form vs numerical verdicts over the grid; disagreements collected.
 
@@ -144,7 +142,7 @@ def check_agreement(
     in_band = (np.abs(lam - lambda_chaos) <= eps_band * lambda_chaos).tolist()
     kept = [cell for cell, band in zip(cells, in_band) if not band]
     result.cells_skipped_band += len(cells) - len(kept)
-    rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root, pi_scan)
+    rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root)
     result.cells_checked += len(rows)
     for row in rows:
         if not row.agree:
@@ -168,7 +166,6 @@ def check_raw_cells(
     eps_band: float = EPS_BAND,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    pi_scan: int = PI_SCAN_POINTS,
 ) -> None:
     """The gate and both verdicts of `classify` on each raw triple off the lambda_chaos band.
 
@@ -180,9 +177,7 @@ def check_raw_cells(
             continue
         interval = trapping_interval(params)
         cf = classify_closed_form(params, eps_cmp=eps_cmp)
-        num = classify_numerical(
-            params, interval, eps_cmp=eps_cmp, eps_root=eps_root, n_scan=pi_scan
-        )
+        num = classify_numerical(params, interval, eps_cmp=eps_cmp, eps_root=eps_root)
         tag = f"alpha={params.alpha!r} beta={params.beta!r} lambda={params.lam!r}"
         if not gate_check(params, interval, eps_cmp=eps_cmp).in_class_g:
             result.raw_failures.append(f"{tag}: the gate rejects the trapping interval")
@@ -265,27 +260,23 @@ def run_verify(
     eps_band: float = EPS_BAND,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    pi_scan: int = PI_SCAN_POINTS,
     grid_base: int = GRID_BASE,
 ) -> VerifyResult:
     """Run all four groups and return the collected evidence.
 
-    pi_scan sizes the Pi-set scans of the grid and the raw triples,
-    grid_base the smallest lap piece of the low-period oracle's orbit scans.
+    grid_base sets the smallest lap piece of the low-period oracle's orbit scans.
     """
     result = VerifyResult(grid_shape=(alpha_count, beta_count, lambda_count))
     check_agreement(
         result, alpha_count, beta_count, lambda_count,
-        eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root, pi_scan=pi_scan,
+        eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root,
     )
     note_params = EconomyParams(alpha=NOTE_POINT[0], beta=NOTE_POINT[1], lam=NOTE_POINT[2])
     result.sign_note = second_iterate_sign_report(note_params)
     result.endpoint_note = endpoint_gap_report(note_params)
     rng = np.random.default_rng(_SEED)
     sample = _window_triples(rng, triples)
-    check_raw_cells(
-        result, sample, eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root, pi_scan=pi_scan,
-    )
+    check_raw_cells(result, sample, eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root)
     check_factor_identity(result, sample)
     check_low_period_oracle(result, sample, eps_root=eps_root, grid_base=grid_base)
     return result

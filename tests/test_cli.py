@@ -209,17 +209,22 @@ SMALL_VERIFY = ("--alpha-count", "3", "--beta-count", "3", "--lambda-count", "4"
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("classify", *POINT), ("sweep", *SWEEP_CELL), ("certify", *POINT), ("verify", *SMALL_VERIFY)],
+    "argv, reason",
+    [
+        (("classify", *POINT), "must be >= 2"),
+        (("sweep", *SWEEP_CELL), "unrecognized arguments"),  # sweep has no scan to size
+        (("certify", *POINT), "must be >= 2"),
+        (("verify", *SMALL_VERIFY), "must be >= 2"),
+    ],
     ids=["classify", "sweep", "certify", "verify"],
 )
 @pytest.mark.parametrize("density", ["1", "0"])
-def test_grid_density_below_two_exits_64(capsys, argv, density):
+def test_grid_density_below_two_exits_64(capsys, argv, reason, density):
     # at density 1 the period-1 orbit scan is a single point and brackets nothing
     code, out, err = run_cli(capsys, *argv, "--grid-density", density)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--grid-density" in err and "must be >= 2" in err
+    assert "--grid-density" in err and reason in err
 
 
 def test_grid_density_two_passes_verify(capsys):
@@ -294,20 +299,15 @@ class TestSweep:
         assert code == EXIT_CANTCREAT
 
     def test_grid_density_recorded_in_metadata(self, capsys):
-        argv = (
-            "sweep",
-            "--alpha-lo", "0.75", "--alpha-hi", "0.75", "--alpha-count", "1",
-            "--beta-lo", "0.5", "--beta-hi", "0.5", "--beta-count", "1",
-            "--lambda-count", "1",
-        )
-        meta = {}
-        for density in ("8192", "16"):
-            code, out, _ = run_cli(capsys, *argv, "--grid-density", density)
-            assert code == EXIT_OK
-            meta[density] = [ln for ln in out.splitlines() if ln.startswith("#")]
-        tail = "gate_grid=256 eps_cmp=1e-12 eps_root=1e-10"
-        assert f"# grid_density=8192 pi_scan=4096 {tail}" in meta["8192"]
-        assert f"# grid_density=16 pi_scan=8 {tail}" in meta["16"]
+        # a sweep has no scan that --grid-density could size: the flag is refused,
+        # and the metadata records the settings that do shape the rows
+        code, out, err = run_cli(capsys, "sweep", *SWEEP_CELL, "--grid-density", "64")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --grid-density 64" in err
+        code, out, _ = run_cli(capsys, "sweep", *SWEEP_CELL, "--eps-root", "1e-11")
+        assert code == EXIT_OK
+        meta = [ln for ln in out.splitlines() if ln.startswith("#")]
+        assert meta[-1] == "# gate_grid=256 eps_cmp=1e-12 eps_root=1e-11"
 
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_JOBS", "2")

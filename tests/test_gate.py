@@ -16,6 +16,7 @@ from chaoslab import (
     gate_check,
     period2_points,
     pi_set,
+    price_map,
     second_iterate_sign_report,
     step,
     third_iterate_factor_report,
@@ -24,6 +25,7 @@ from chaoslab import (
 )
 from chaoslab.economy import EPS_CMP, EPS_ROOT, Cells, cell_intervals
 from chaoslab.gate import _grid_rows, gate_reports, pi_sets
+from chaoslab.rootfind import grid_brackets, refine_root
 
 from conftest import exact_orbit, random_window_params
 
@@ -122,7 +124,7 @@ class TestPeriod2Points:
         assert w1 == pytest.approx(1.0, abs=1e-12)
         assert w2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_residual_after_polish(self):
+    def test_pair_residual(self):
         for params in random_window_params(seed=707, count=50):
             pair = period2_points(params)
             if pair is None:
@@ -177,6 +179,45 @@ class TestPiSet:
             assert len(pi.points) == 1
             assert pi.points[0] == pytest.approx(fixed_point(params), abs=1e-10)
 
+    def test_matches_a_dense_scan_of_the_second_iterate(self):
+        # a grid scan as the reference: every confined root of f(f(x)) - x
+        # that a 4096-point grid on [a, m] brackets is a Pi point,
+        # and every Pi point is such a root.  Near mu = 2 the pair merges with
+        # the fixed point into a triple root, where rounding noise fakes roots
+        rng = np.random.default_rng(1515)
+        checked = skipped = 0
+        for k in range(300):
+            alpha = float(rng.uniform(0.05, 0.95))
+            beta = math.exp(rng.uniform(math.log(1e-3), math.log(0.95)))
+            mu = float(rng.uniform(2.0, 2.25) if k % 3 == 0 else rng.uniform(1.0, 4.0))
+            params = EconomyParams(alpha=alpha, beta=beta, lam=mu * beta / (8 * (1 - alpha) ** 2))
+            if abs(mu - 2.0) <= 1e-4:
+                skipped += 1
+                continue
+            iv = trapping_interval(params)
+            f = price_map(params)
+
+            def F(x):
+                return f(f(x)) - x
+
+            xs = np.linspace(iv.a, iv.m, 4096)
+            roots = [refine_root(F, lo, hi) for lo, hi in grid_brackets(F(xs), xs)]
+            confined = [
+                x for x in roots
+                if iv.a - EPS_ROOT <= x <= iv.m + EPS_ROOT
+                and iv.a - EPS_ROOT <= f(x) <= iv.m + EPS_ROOT
+                and abs(F(x)) <= EPS_ROOT
+            ]
+            points = pi_set(params, iv).points
+            tol = 10 * EPS_ROOT
+            for x in confined:
+                assert min(abs(x - y) for y in points) <= tol, (params, confined, points)
+            for y in points:
+                assert min(abs(x - y) for x in confined) <= tol, (params, confined, points)
+            checked += 1
+        print(f"{checked} cells checked, {skipped} skipped within 1e-4 of mu = 2")
+        assert skipped <= 3
+
 
 class TestClosedFormClassifier:
     def test_anchor_chaotic(self, anchor):
@@ -226,20 +267,25 @@ class TestNumericalClassifier:
         assert v.f2_of_m == pytest.approx(3 * math.sqrt(2) - 3, abs=1e-12)
         assert v.f2_of_m < math.sqrt(2)
 
-    @pytest.mark.parametrize("n_scan", [64, 4096, 65536])
-    def test_quiet_point_pi_noise_stays_at_the_fixed_point(self, quiet, n_scan):
+    def test_quiet_point_pi_noise_stays_at_the_fixed_point(self, quiet):
         # at mu = 2 exactly, f(f(x)) - x has a triple root at the fixed point
         # 1.0 and rounding noise changes its sign anywhere within about 5e-6
-        # of it; the Pi set may keep such points, but no farther out, and
-        # they never reach a verdict.  The true Pi set {1} passes as well
+        # of it; the Pi set is {1}, with no noise roots beside it
         iv = trapping_interval(quiet)
-        points = pi_set(quiet, iv, n_scan=n_scan).points
-        assert 1.0 in points
-        assert all(abs(x - 1.0) <= 1e-5 for x in points), points
-        v = classify_numerical(quiet, iv, n_scan=n_scan)
-        assert abs(v.pi_min - 1.0) <= 1e-5 and abs(v.pi_max - 1.0) <= 1e-5
+        assert pi_set(quiet, iv).points == (1.0,)
+        v = classify_numerical(quiet, iv)
+        assert v.pi_min == v.pi_max == 1.0
         for v in (v, classify_closed_form(quiet)):
             assert not v.odd_cycle and not v.turbulent_second_iterate
+
+    def test_pair_meets_the_interval_ends_at_lambda_pi(self):
+        # at lam = lambda_pi = 2.25, w2 = m = 1.5 and w1 = a = 0.75
+        params = EconomyParams(alpha=0.75, beta=0.5, lam=2.25)
+        iv = trapping_interval(params)
+        assert period2_points(params) == (0.75, 1.5)
+        assert pi_set(params, iv).points == (0.75, 1.0, 1.5)
+        for v in (classify_numerical(params, iv), classify_closed_form(params)):
+            assert (v.pi_min, v.pi_max) == (0.75, 1.5)
 
     def test_odd_cycle_implies_turbulent(self):
         for params in random_window_params(seed=111, count=60):
@@ -328,9 +374,8 @@ class TestChunkForms:
         params = random_window_params(seed=516, count=70, frac_range=(0.0, 1.0))
         a, m, _ = cell_intervals(Cells.of(params))
         pairs = [period2_points(p) for p in params]
-        for n_scan in (64, 4096):
-            want = [pi_set(p, trapping_interval(p), n_scan=n_scan) for p in params]
-            assert pi_sets(params, a, m, pairs, EPS_ROOT, n_scan) == want
+        want = [pi_set(p, trapping_interval(p)) for p in params]
+        assert pi_sets(params, a, m, pairs, EPS_ROOT) == want
 
 
 @pytest.mark.parametrize("lam, bound", [(0.5, "lambda_g_low"), (1.0, "lambda_g_low"),

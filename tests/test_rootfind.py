@@ -13,7 +13,6 @@ from chaoslab.rootfind import (
     bisect_many,
     grid_brackets,
     refine_root,
-    scan_brackets,
     scan_roots,
 )
 
@@ -183,12 +182,13 @@ def test_refine_root_equals_bisect_many_property(root, left, right, slope):
 
 
 def pi_brackets(count):
-    """Pi-set scan brackets of many window cells, with each bracket's cell."""
+    """Brackets of f(f(x)) - x on a 4096-point grid over [a, m] of window cells, with their cells."""
     params = random_window_params(seed=606, count=count)
     owner, brackets = [], []
     for i, p in enumerate(params):
         iv = trapping_interval(p)
-        found = scan_brackets(_second_iterate(p), iv.a, iv.m, 4096)
+        xs = np.linspace(iv.a, iv.m, 4096)
+        found = grid_brackets(_second_iterate(p)(xs), xs)
         owner += [i] * len(found)
         brackets += found
     return params, np.array(owner), brackets

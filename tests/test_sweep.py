@@ -207,20 +207,6 @@ class TestRunSweep:
         if kind == "absolute":
             assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
-    def test_pi_scan_reaches_every_cell(self, pool_from_one_chunk):
-        # 64 distinct mu, a full chunk of canonical cells: jobs > 1 takes the worker path
-        config = _config(
-            alpha_range=(0.1, 0.1, 1),
-            beta_range=(0.1, 0.1, 1),
-            lambda_spec=LambdaSpec(kind="window", count=64),
-        )
-        rows = run_sweep(config, pi_scan=8)
-        want = [evaluate_cell(r.alpha, r.beta, r.lam, config.methods, pi_scan=8) for r in rows]
-        assert rows == want
-        assert run_sweep(config, jobs=2, pi_scan=8) == want
-        assert pool_from_one_chunk == [2]
-        assert rows != run_sweep(config)
-
     def test_onset_ratio_constant_across_alpha(self):
         # lambda_chaos / lambda_max = 25/36 independently of (alpha, beta)
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.5, 0.5, 1))
@@ -321,9 +307,7 @@ class TestCanonicalCells:
             for lam in (math.nextafter(th.lambda_g_low, math.inf), math.nextafter(th.lambda_max, 0.0)):
                 cells.append((alpha, beta, lam))
         methods = (Method.CLOSED_FORM, Method.NUMERICAL)
-        rows = chaoslab.sweep._eval_cells(
-            cells, methods, EPS_CMP, EPS_ROOT, chaoslab.sweep.PI_SCAN_POINTS
-        )
+        rows = chaoslab.sweep._eval_cells(cells, methods, EPS_CMP, EPS_ROOT)
         assert rows == [evaluate_cell(*cell, methods) for cell in cells]
         # at (0.75, 0.5) mu = lam: 1 + ulp has a = m in floats, 4 - ulp is proper
         assert rows[0].agree is None and not rows[0].in_class_g
