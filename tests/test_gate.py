@@ -267,14 +267,17 @@ class TestNumericalClassifier:
         assert v.f2_of_m == pytest.approx(3 * math.sqrt(2) - 3, abs=1e-12)
         assert v.f2_of_m < math.sqrt(2)
 
-    def test_quiet_point_pi_noise_stays_at_the_fixed_point(self, quiet):
+    @pytest.mark.parametrize("n_scan", [64, 4096, 65536])
+    def test_quiet_point_pi_noise_stays_at_the_fixed_point(self, quiet, n_scan):
         # at mu = 2 exactly, f(f(x)) - x has a triple root at the fixed point
         # 1.0 and rounding noise changes its sign anywhere within about 5e-6
-        # of it; the Pi set is {1}, with no noise roots beside it
+        # of it; the Pi set is {1}, with no noise roots beside it, whatever
+        # scan size classify_numerical is handed (it ignores n_scan)
         iv = trapping_interval(quiet)
         assert pi_set(quiet, iv).points == (1.0,)
-        v = classify_numerical(quiet, iv)
+        v = classify_numerical(quiet, iv, n_scan=n_scan)
         assert v.pi_min == v.pi_max == 1.0
+        assert v == classify_numerical(quiet, iv)
         for v in (v, classify_closed_form(quiet)):
             assert not v.odd_cycle and not v.turbulent_second_iterate
 
