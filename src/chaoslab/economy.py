@@ -100,12 +100,22 @@ class Cells(NamedTuple):
 
     Stands in for EconomyParams wherever a formula reads only those three
     fields (`price_map`, `price_map_derivative`), evaluating it cell by
-    cell.  Cells are not validated; build them from EconomyParams.
+    cell.  Build them with `checked`, or with `of` from EconomyParams; a
+    bare Cells(...) is not validated.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     lam: np.ndarray
+
+    @classmethod
+    def checked(cls, alpha, beta, lam) -> Cells:
+        """Float cells from equal-shape sequences; the first bad cell raises as EconomyParams."""
+        a, b, lam = cells = cls(*(np.asarray(v, dtype=float) for v in (alpha, beta, lam)))
+        ok = (0.0 < a) & (a < 1.0) & (0.0 < b) & (b < 1.0) & (0.0 < lam) & (lam < math.inf)
+        if not ok.all():
+            EconomyParams(*(float(v[np.argmin(ok)]) for v in cells))
+        return cells
 
     @classmethod
     def of(cls, params: Sequence[EconomyParams]) -> Cells:
@@ -116,7 +126,7 @@ class Cells(NamedTuple):
         )
 
     def take(self, rows: np.ndarray) -> Cells:
-        """The cells at the given row indices, in that order, repeats allowed."""
+        """The cells at the given row indices (repeats allowed) or under a row mask, in order."""
         return Cells(*(v[rows] for v in self))
 
 

@@ -19,9 +19,11 @@ Pi set and numerical verdicts, CHUNK_CELLS canonical cells at a time as
 arrays.  Each row takes in_class_g and the numerical verdicts from its
 canonical cell, and z times the canonical f2_of_m, f3_of_m and pi_max.
 The closed-form verdicts come from the row's own thresholds, so the two
-routes stay independent.  z and mu are computed as arrays over all cells,
-and every row is bit for bit the row its cell gets on its own
-(`evaluate_cell` is a one-cell sweep).  A cell whose float mu rounds onto
+routes stay independent.  Everything per cell is a column: the cells are
+arrays built from the axes and checked in one pass, the per-mu results
+are gathered to them by index and scaled by z as arrays, and the rows and
+the CSV text are made column by column.  Every row is bit for bit the row
+its cell gets on its own (`evaluate_cell` is a one-cell sweep).  A cell whose float mu rounds onto
 a window edge has no proper canonical interval; its row is blank, as
 outside the window.  Window-relative sweeps share mu across (alpha, beta);
 absolute-lambda sweeps have about one mu per cell, and from POOL_MIN_CHUNKS
@@ -30,10 +32,10 @@ chunks of distinct mu on, `jobs` worker processes classify the chunks.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .economy import (
     cell_intervals,
     cell_thresholds,
     interval_arrays,
-    thresholds,
 )
 from .gate import (
     Method,
@@ -69,26 +70,16 @@ CHUNK_CELLS = 64
 #: (4096 canonical cells) or more; on fewer, two workers are no faster than one
 POOL_MIN_CHUNKS = 64
 
-#: (CSV column and JSON key, SweepRow field), in column order
-COLUMN_FIELDS = (
-    ("alpha", "alpha"),
-    ("beta", "beta"),
-    ("lambda", "lam"),
-    ("lambda_g_low", "lambda_g_low"),
-    ("lambda_pi", "lambda_pi"),
-    ("lambda_chaos", "lambda_chaos"),
-    ("lambda_max", "lambda_max"),
-    ("in_class_g", "in_class_g"),
-    ("f2_of_m", "f2_of_m"),
-    ("f3_of_m", "f3_of_m"),
-    ("pi_max", "pi_max"),
-    ("odd_cycle_cf", "odd_cycle_cf"),
-    ("turbulent_cf", "turbulent_cf"),
-    ("odd_cycle_num", "odd_cycle_num"),
-    ("turbulent_num", "turbulent_num"),
-    ("agree", "agree"),
+#: CSV columns and JSON keys, in order: the SweepRow fields, with lam written as lambda
+CSV_COLUMNS = (
+    "alpha", "beta", "lambda", "lambda_g_low", "lambda_pi", "lambda_chaos", "lambda_max",
+    "in_class_g", "f2_of_m", "f3_of_m", "pi_max",
+    "odd_cycle_cf", "turbulent_cf", "odd_cycle_num", "turbulent_num", "agree",
 )
-CSV_COLUMNS = tuple(column for column, _ in COLUMN_FIELDS)
+#: (CSV column and JSON key, SweepRow field), in column order
+COLUMN_FIELDS = tuple(zip(CSV_COLUMNS, ("lam" if c == "lambda" else c for c in CSV_COLUMNS)))
+#: CSV text of the bool and blank cells
+_WORDS = {None: "", True: "true", False: "false"}
 
 
 @dataclass(frozen=True)
@@ -161,11 +152,8 @@ class SweepRow:
     agree: bool | None
 
 
-def _axis_values(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1:
-        return [float(lo)]
-    return [float(x) for x in np.linspace(lo, hi, count)]
-
+#: SweepRow fields that hold a float or None; the others hold a bool or None
+FLOAT_FIELDS = frozenset(k for k, kind in SweepRow.__annotations__.items() if kind.startswith("float"))
 
 def lambda_values(spec: LambdaSpec, lambda_g_low: float, lambda_max: float) -> list[float]:
     """Concrete lambda values for one (alpha, beta) cell.
@@ -174,10 +162,15 @@ def lambda_values(spec: LambdaSpec, lambda_g_low: float, lambda_max: float) -> l
     (lambda_g_low, lambda_max): fractions (j + 1/2)/count of the window
     width, which never touch the window edges.
     """
+    return _lambda_rows(spec, np.array([lambda_g_low]), np.array([lambda_max]))[0].tolist()
+
+
+def _lambda_rows(spec: LambdaSpec, lambda_g_low: np.ndarray, lambda_max: np.ndarray) -> np.ndarray:
+    """`lambda_values` of each window edge pair, one row of spec.count values per pair."""
     if spec.kind == "absolute":
-        return _axis_values(spec.lo, spec.hi, spec.count)
-    width = lambda_max - lambda_g_low
-    return [lambda_g_low + (j + 0.5) / spec.count * width for j in range(spec.count)]
+        return np.broadcast_to(np.linspace(spec.lo, spec.hi, spec.count), (len(lambda_max), spec.count))
+    low = lambda_g_low[:, None]
+    return low + (np.arange(spec.count) + 0.5) / spec.count * (lambda_max[:, None] - low)
 
 
 def evaluate_cell(
@@ -191,28 +184,34 @@ def evaluate_cell(
     gate_grid: int = SWEEP_GATE_GRID,
 ) -> SweepRow:
     """Classify one grid cell; outside the window all verdict columns are None."""
-    return _eval_cells([(alpha, beta, lam)], methods, eps_cmp, eps_root, gate_grid)[0]
+    return _eval_cells(Cells.checked([alpha], [beta], [lam]), methods, eps_cmp, eps_root, gate_grid)[0]
 
 
-def _cells(config: SweepConfig) -> list[tuple[float, float, float]]:
-    out = []
-    for alpha in _axis_values(*config.alpha_range):
-        for beta in _axis_values(*config.beta_range):
-            params = EconomyParams(alpha=alpha, beta=beta, lam=1.0)
-            th = thresholds(params)
-            for lam in lambda_values(config.lambda_spec, th.lambda_g_low, th.lambda_max):
-                out.append((alpha, beta, lam))
-    return out
+def _cells(config: SweepConfig) -> Cells:
+    """The grid's cells, alpha-major, then beta, then lambda."""
+    count = config.lambda_spec.count
+    grid = np.meshgrid(np.linspace(*config.alpha_range), np.linspace(*config.beta_range), indexing="ij")
+    alpha, beta = (v.ravel() for v in grid)
+    th = cell_thresholds(Cells(alpha, beta, np.ones_like(alpha)))
+    lam = _lambda_rows(config.lambda_spec, th[0], th[3]).ravel()
+    return Cells(np.repeat(alpha, count), np.repeat(beta, count), lam)
 
 
-def _eval_cells(cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_GRID, jobs=1):
-    """Rows for the cells, in order, each distinct mu classified once on its canonical cell."""
-    params = [EconomyParams(alpha=alpha, beta=beta, lam=lam) for alpha, beta, lam in cells]
-    raw = Cells.of(params)
+def mu_of(cells: Cells) -> np.ndarray:
+    """mu = 8*lam*(1-alpha)^2/beta of every cell: its canonical cell is (0.75, 0.5, mu)."""
+    return 8.0 * cells.lam * np.float_power(1.0 - cells.alpha, 2.0) / cells.beta
+
+
+def _eval_cells(cells: Cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_GRID, jobs=1):
+    """Rows for the cells, in order, each distinct mu classified once on its canonical cell.
+
+    Raises the ValueError of EconomyParams for the first invalid cell.
+    """
+    raw = Cells.checked(*cells)
     th = cell_thresholds(raw)
     # array expressions over all cells give a cell the bits it gets alone
     z = fixed_point(raw)
-    mu = 8.0 * raw.lam * np.float_power(1.0 - raw.alpha, 2.0) / raw.beta
+    mu = mu_of(raw)
     # a cell whose float mu rounds onto a window edge has no proper canonical interval
     proper = interval_arrays(Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu))[3]
     inside = (th[0] < raw.lam) & (raw.lam < th[3]) & proper
@@ -229,24 +228,24 @@ def _eval_cells(cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_GRID, jo
     else:
         done = map(_window_verdicts, chunks, *args)
     verdicts = [v for chunk in done for v in chunk]
-    which = iter(canonical_of.tolist())
-    odd_cf, turbulent_cf = closed_form_rule(raw.lam, th[2], th[3], eps_cmp)
-    with_cf = Method.CLOSED_FORM in methods
-
-    rows = []
-    for p, ok, z_p, odd, turbulent, *limits in zip(
-        params, inside.tolist(), z.tolist(), odd_cf.tolist(), turbulent_cf.tolist(),
-        *(t.tolist() for t in th),
-    ):
-        in_class_g, audit, num = verdicts[next(which)] if ok else (False, None, None)
-        scaled = (None,) * 3 if audit is None else tuple(z_p * x for x in audit)
-        cf_pair = (odd, turbulent) if ok and with_cf else (None, None)
-        num_pair = (None, None) if num is None else (num.odd_cycle, num.turbulent_second_iterate)
-        rows.append(SweepRow(
-            p.alpha, p.beta, p.lam, *limits, in_class_g, *scaled, *cf_pair, *num_pair,
-            agree=cf_pair == num_pair if ok and with_cf and num is not None else None,
-        ))
-    return rows
+    # gather the per-mu verdicts to the inside cells, column by column
+    in_class_g = np.zeros(len(mu), dtype=bool)
+    in_class_g[inside] = np.array([v[0] for v in verdicts], dtype=bool)[canonical_of]
+    audits = np.array([v[1] for v in verdicts], dtype=float).reshape(-1, 3)[canonical_of].T
+    cf = num = (None, None)
+    if Method.CLOSED_FORM in methods:
+        cf = [v[inside] for v in closed_form_rule(raw.lam, th[2], th[3], eps_cmp)]
+    if Method.NUMERICAL in methods:
+        pairs = [(n.odd_cycle, n.turbulent_second_iterate) for _, _, n in verdicts]
+        num = np.array(pairs, dtype=bool).reshape(-1, 2)[canonical_of].T
+    agree = None if cf[0] is None or num[0] is None else (cf[0] == num[0]) & (cf[1] == num[1])
+    columns = [v.tolist() for v in (*raw, *th, in_class_g)]
+    # None blanks the cells outside, and every cell of a method not run
+    for values in (*(z[inside] * audits), *cf, *num, agree):
+        column = np.full(len(mu), None, dtype=object)
+        column[inside] = values
+        columns.append(column.tolist())
+    return list(map(SweepRow, *columns))
 
 
 def _window_verdicts(mus, methods, eps_cmp, eps_root, gate_grid):
@@ -283,28 +282,20 @@ def run_sweep(
     return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, jobs=jobs)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _row_cells(row: SweepRow) -> list[str]:
-    return [_fmt(getattr(row, field)) for _, field in COLUMN_FIELDS]
-
-
 def write_rows_csv(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
-    """CSV with '#' metadata lines, a header row, and 17-significant-digit floats."""
-    for line in metadata:
-        stream.write(f"# {line}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_cells(row))
+    """CSV with '#' metadata lines, a header row, and 17-significant-digit floats.
+
+    Formats column by column.  No cell needs quoting: each is a float,
+    true, false or empty.
+    """
+    fields = [field for _, field in COLUMN_FIELDS]
+    text = [
+        ["" if v is None else format(v, ".17g") for v in column] if field in FLOAT_FIELDS
+        else [_WORDS[v] for v in column]
+        for field, column in zip(fields, zip(*map(attrgetter(*fields), rows)))
+    ]
+    lines = [*(f"# {line}" for line in metadata), ",".join(CSV_COLUMNS), *map(",".join, zip(*text))]
+    stream.write("\n".join(lines) + "\n")
 
 
 def row_dict(row: SweepRow) -> dict:

@@ -27,7 +27,6 @@ import numpy as np
 from .economy import (
     EPS_CMP,
     EPS_ROOT,
-    Cells,
     EconomyParams,
     cell_thresholds,
     critical_point,
@@ -48,7 +47,7 @@ from .gate import (
     second_iterate_sign_report,
 )
 from .orbits import GRID_BASE, periodic_orbit_lists
-from .sweep import LambdaSpec, SweepConfig, _cells, _eval_cells
+from .sweep import LambdaSpec, SweepConfig, _cells, _eval_cells, mu_of
 
 #: showcase parameters used for the informational notes
 NOTE_POINT = (0.75, 0.5, 3.61)
@@ -75,6 +74,7 @@ class VerifyResult:
 
     grid_shape: tuple[int, int, int]
     cells_checked: int = 0
+    mu_checked: int = 0
     cells_skipped_band: int = 0
     disagreements: list[Disagreement] = field(default_factory=list)
     raw_checks: int = 0
@@ -137,13 +137,12 @@ def check_agreement(
         lambda_spec=LambdaSpec(kind="window", count=lambda_count),
     )
     cells = _cells(config)
-    alpha, beta, lam = (np.array(v) for v in zip(*cells))
-    lambda_chaos = cell_thresholds(Cells(alpha, beta, lam))[2]
-    in_band = (np.abs(lam - lambda_chaos) <= eps_band * lambda_chaos).tolist()
-    kept = [cell for cell, band in zip(cells, in_band) if not band]
-    result.cells_skipped_band += len(cells) - len(kept)
+    lambda_chaos = cell_thresholds(cells)[2]
+    kept = cells.take(~(np.abs(cells.lam - lambda_chaos) <= eps_band * lambda_chaos))
+    result.cells_skipped_band += len(cells.lam) - len(kept.lam)
     rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root)
     result.cells_checked += len(rows)
+    result.mu_checked += len(set(mu_of(kept).tolist()))
     for row in rows:
         if not row.agree:
             result.disagreements.append(
@@ -289,7 +288,7 @@ def format_report(result: VerifyResult) -> str:
     status = "FAIL" if result.disagreements else "PASS"
     lines.append(
         f"[{status}] cross-method agreement: {na}x{nb}x{nl} grid on canonical cells, "
-        f"{result.cells_checked} cells checked, "
+        f"{result.cells_checked} cells ({result.mu_checked} distinct mu) checked, "
         f"{result.cells_skipped_band} skipped inside the lambda_chaos band, "
         f"{len(result.disagreements)} disagreements"
     )

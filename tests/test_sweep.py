@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from chaoslab import (
     write_rows_csv,
     write_rows_json,
 )
+from chaoslab.economy import Cells
 
 
 @pytest.fixture
@@ -72,6 +74,16 @@ class TestLambdaValues:
     def test_absolute_values(self):
         spec = LambdaSpec(kind="absolute", count=3, lo=1.0, hi=2.0)
         assert lambda_values(spec, 0.0, 0.0) == pytest.approx([1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 50])
+    def test_window_values_follow_the_scalar_formula_bit_for_bit(self, count):
+        spec = LambdaSpec(kind="window", count=count)
+        for low, width in np.random.default_rng(count).uniform(1e-3, 10.0, (20, 2)).tolist():
+            high = low + width
+            want = [low + (j + 0.5) / count * (high - low) for j in range(count)]
+            got = lambda_values(spec, low, high)
+            assert [type(v) for v in got] == [float] * count
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestConfigValidation:
@@ -307,7 +319,7 @@ class TestCanonicalCells:
             for lam in (math.nextafter(th.lambda_g_low, math.inf), math.nextafter(th.lambda_max, 0.0)):
                 cells.append((alpha, beta, lam))
         methods = (Method.CLOSED_FORM, Method.NUMERICAL)
-        rows = chaoslab.sweep._eval_cells(cells, methods, EPS_CMP, EPS_ROOT)
+        rows = chaoslab.sweep._eval_cells(_as_cells(cells), methods, EPS_CMP, EPS_ROOT)
         assert rows == [evaluate_cell(*cell, methods) for cell in cells]
         # at (0.75, 0.5) mu = lam: 1 + ulp has a = m in floats, 4 - ulp is proper
         assert rows[0].agree is None and not rows[0].in_class_g
@@ -317,7 +329,156 @@ class TestCanonicalCells:
             assert row.lambda_g_low < row.lam < row.lambda_max
 
 
+def _as_cells(triples) -> Cells:
+    return Cells(*(np.array(v, dtype=float) for v in zip(*triples)))
+
+
+def _reference_cells(config: SweepConfig) -> list[tuple[float, float, float]]:
+    """The grid as a nested loop over (alpha, beta), one EconomyParams and thresholds call each."""
+    def axis(lo, hi, count):
+        return [float(lo)] if count == 1 else [float(x) for x in np.linspace(lo, hi, count)]
+
+    out = []
+    for alpha in axis(*config.alpha_range):
+        for beta in axis(*config.beta_range):
+            th = thresholds(EconomyParams(alpha=alpha, beta=beta, lam=1.0))
+            for lam in lambda_values(config.lambda_spec, th.lambda_g_low, th.lambda_max):
+                out.append((alpha, beta, lam))
+    return out
+
+
+class TestArrayCells:
+    """Sweeps build their cells, and check them, as arrays."""
+
+    @pytest.mark.parametrize("alpha_range, beta_range", [
+        ((0.6, 0.8, 3), (0.4, 0.6, 2)),
+        ((0.05, 0.95, 7), (0.3, 0.3, 1)),
+        ((0.5, 0.5, 1), (0.01, 0.99, 5)),
+        ((0.9999, 0.9999, 1), (1e-9, 1e-9, 1)),
+    ])
+    @pytest.mark.parametrize("spec", [
+        LambdaSpec(kind="window", count=1),
+        LambdaSpec(kind="window", count=13),
+        LambdaSpec(kind="absolute", count=1, lo=0.7, hi=0.7),
+        LambdaSpec(kind="absolute", count=9, lo=0.05, hi=4.0),
+    ])
+    def test_cells_equal_the_nested_loop_bit_for_bit(self, alpha_range, beta_range, spec):
+        config = _config(alpha_range=alpha_range, beta_range=beta_range, lambda_spec=spec)
+        cells = chaoslab.sweep._cells(config)
+        got = list(zip(*(v.tolist() for v in cells)))
+        want = _reference_cells(config)
+        assert [tuple(map(float.hex, c)) for c in got] == [tuple(map(float.hex, c)) for c in want]
+
+    @pytest.mark.parametrize("bad", [
+        (0.0, 0.5, 1.0), (1.0, 0.5, 1.0), (math.nan, 0.5, 1.0), (0.5, 1.5, 1.0),
+        (0.5, 0.5, 0.0), (0.5, 0.5, -1.0), (0.5, 0.5, math.inf), (0.5, 0.5, math.nan),
+    ])
+    def test_bad_cells_raise_the_message_of_economy_params(self, bad):
+        with pytest.raises(ValueError) as want:
+            EconomyParams(*bad)
+        methods = (Method.CLOSED_FORM, Method.NUMERICAL)
+        with pytest.raises(ValueError) as got:
+            evaluate_cell(*bad, methods)
+        assert str(got.value) == str(want.value)
+        # the first bad cell is reported, not a later one
+        cells = _as_cells([(0.75, 0.5, 3.61), (0.6, 0.4, 1.0), bad, (0.5, 0.5, -5.0)])
+        with pytest.raises(ValueError) as got:
+            chaoslab.sweep._eval_cells(cells, methods, EPS_CMP, EPS_ROOT)
+        assert str(got.value) == str(want.value)
+
+    def test_numpy_scalar_inputs_give_native_fields(self):
+        row = evaluate_cell(np.float64(0.75), np.float32(0.5), np.float64(3.61),
+                            (Method.CLOSED_FORM, Method.NUMERICAL))
+        assert type(row.lam) is float and type(row.alpha) is float
+        assert row.agree is True and row.in_class_g is True
+        for value in vars(row).values():
+            assert type(value) in (float, bool)
+
+    def test_blank_fields_are_none_and_the_rest_native(self):
+        config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
+        rows = run_sweep(config)
+        assert any(r.agree is None for r in rows) and any(r.agree for r in rows)
+        for row in rows:
+            for name, value in vars(row).items():
+                assert value is None or type(value) is (
+                    float if name in chaoslab.sweep.FLOAT_FIELDS else bool
+                )
+
+    def test_economy_params_are_built_per_distinct_mu_not_per_cell(self, monkeypatch):
+        built = []
+        real = EconomyParams.__post_init__
+
+        def counted(self):
+            built.append(self.lam)
+            real(self)
+
+        monkeypatch.setattr(EconomyParams, "__post_init__", counted)
+        config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.1, 0.9, 5),
+                         lambda_spec=LambdaSpec(kind="window", count=10))
+        rows = run_sweep(config)
+        assert len(rows) == 250
+        distinct = {8.0 * r.lam * (1.0 - r.alpha) ** 2 / r.beta for r in rows}
+        assert len(built) == len(distinct) < 40
+        assert set(built) == distinct
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_csv(rows, stream, metadata) -> None:
+    """The CSV writer as csv.writer over one formatted cell per row field."""
+    for line in metadata:
+        stream.write(f"# {line}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    fields = [f for f in chaoslab.sweep.SweepRow.__dataclass_fields__]
+    for row in rows:
+        writer.writerow([_fmt(getattr(row, f)) for f in fields])
+
+
+_WRITER_CONFIGS = {
+    "window": _config(),
+    "absolute_with_blanks": _config(
+        lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0)),
+    "closed_form_only": _config(methods=(Method.CLOSED_FORM,)),
+    "numerical_only": _config(
+        lambda_spec=LambdaSpec(kind="absolute", count=5, lo=0.3, hi=3.9), methods=(Method.NUMERICAL,)),
+    "one_cell_out_of_window": _config(
+        alpha_range=(0.75, 0.75, 1), beta_range=(0.5, 0.5, 1),
+        lambda_spec=LambdaSpec(kind="absolute", count=1, lo=0.5, hi=0.5)),
+}
+
+
 class TestWriters:
+    @pytest.mark.parametrize("name", sorted(_WRITER_CONFIGS))
+    def test_csv_equals_the_csv_writer_reference(self, name):
+        rows = run_sweep(_WRITER_CONFIGS[name])
+        got, want = io.StringIO(), io.StringIO()
+        write_rows_csv(rows, got, ["chaoslab test", name])
+        _reference_csv(rows, want, ["chaoslab test", name])
+        assert got.getvalue() == want.getvalue()
+        doc = io.StringIO()
+        write_rows_json(rows, doc, [name])
+        want = {
+            "tool": {"name": "chaoslab", "version": chaoslab.__version__},
+            "metadata": [name],
+            "rows": [{column: getattr(r, field) for column, field in chaoslab.sweep.COLUMN_FIELDS}
+                     for r in rows],
+        }
+        assert doc.getvalue() == json.dumps(want, indent=2) + "\n"
+
+    def test_csv_of_no_rows_is_the_header(self):
+        buf = io.StringIO()
+        write_rows_csv([], buf, ["m"])
+        assert buf.getvalue() == "# m\n" + ",".join(CSV_COLUMNS) + "\n"
+
     def test_csv_shape_and_header(self):
         rows = run_sweep(_config())
         buf = io.StringIO()

@@ -1,21 +1,31 @@
 """The verify suite: the low-period oracle against a per-triple loop, and the raw-cell check."""
 
+import numpy as np
 import pytest
 
 import chaoslab.orbits
 from chaoslab import (
     GRID_BASE,
     EconomyParams,
+    LambdaSpec,
     find_periodic_orbits,
     fixed_point,
     Method,
+    SweepConfig,
     evaluate_cell,
     period2_points,
+    run_sweep,
     thresholds,
     trapping_interval,
 )
 from chaoslab.cli import main
-from chaoslab.verify import VerifyResult, check_low_period_oracle, check_raw_cells, format_report
+from chaoslab.verify import (
+    VerifyResult,
+    check_agreement,
+    check_low_period_oracle,
+    check_raw_cells,
+    format_report,
+)
 
 from conftest import random_window_params
 
@@ -111,3 +121,16 @@ def test_raw_cells_skip_the_onset_band():
     result = VerifyResult(grid_shape=(1, 1, 1))
     check_raw_cells(result, [EconomyParams(alpha=0.75, beta=0.5, lam=lam)])
     assert result.raw_checks == 0 and result.passed
+
+
+def test_agreement_counts_distinct_mu():
+    result = VerifyResult(grid_shape=(4, 4, 7))
+    check_agreement(result, 4, 4, 7)
+    config = SweepConfig(alpha_range=(0.05, 0.95, 4), beta_range=(0.05, 0.95, 4),
+                         lambda_spec=LambdaSpec(kind="window", count=7))
+    rows = run_sweep(config)
+    mu = [8.0 * r.lam * (1.0 - r.alpha) ** 2 / r.beta for r in rows]
+    assert result.cells_checked == len(rows) == 112 and result.cells_skipped_band == 0
+    assert result.mu_checked == len(np.unique(mu))
+    assert 7 <= result.mu_checked < 112
+    assert f"112 cells ({result.mu_checked} distinct mu) checked" in format_report(result)
