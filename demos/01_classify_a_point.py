@@ -37,7 +37,7 @@ def main():
     print(f"trapping interval E = [{interval.a:.6g}, {interval.b:.6g}],"
           f" critical point m = {interval.m:.6g}")
 
-    gate = gate_check(PARAMS, interval, 512)
+    gate = gate_check(PARAMS, interval)
     print(f"admissibility gate: in_class_g={gate.in_class_g}"
           f" (endpoints={gate.cond_endpoints}, below_diagonal={gate.cond_below_diagonal},"
           f" unimodal={gate.cond_unimodal}, self_map={gate.cond_self_map},"

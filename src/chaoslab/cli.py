@@ -5,7 +5,7 @@ certify (orbit and turbulence certificates as JSON), orbit (trajectory
 CSV), verify (the cross-validation suite).  Numeric arguments accept
 decimals or exact fractions ("361/100").  Exit codes: 0 success,
 1 internal or invariant failure, 2 parameters outside the admissible
-window, 64 usage error, 73 output not writable.
+window or below double resolution, 64 usage error, 73 output not writable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -43,7 +42,6 @@ from .orbits import (
     search_period3,
 )
 from .sweep import (
-    SWEEP_GATE_GRID,
     LambdaSpec,
     SweepConfig,
     run_sweep,
@@ -94,16 +92,6 @@ def _int_at_least(least: int):
 _positive_int = _int_at_least(1)
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("CHAOSLAB_JOBS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"CHAOSLAB_JOBS must be an integer, got {raw!r}")
-
-
 def _fmt(x: float) -> str:
     return repr(x)
 
@@ -149,9 +137,8 @@ def _add_tol_flags(p: _Parser, *, grid_density: bool = True, eps_cmp: bool = Tru
     if grid_density:
         p.add_argument(
             "--grid-density", type=_int_at_least(2), default=GRID_BASE,
-            help="base scan density (>= 2): sets the classify gate grid (density//16) and"
-            " the smallest lap piece of every orbit, three-cycle and witness scan (the"
-            " spacing of density*n points at period n)",
+            help="base scan density (>= 2): sets the smallest lap piece of every orbit,"
+            " three-cycle and witness scan (the spacing of density*n points at period n)",
         )
     if eps_cmp:
         p.add_argument(
@@ -166,7 +153,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="classify one (alpha, beta, lambda) point")
     _add_param_flags(p)
-    _add_tol_flags(p)
+    _add_tol_flags(p, grid_density=False)
     p.add_argument("--method", default="both", help="both | closed_form | numerical")
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--out", default=None, help="write report to a file instead of stdout")
@@ -187,7 +174,6 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default=None, help="both | closed_form | numerical")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, choices=("csv", "json"))
-    p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes")
     _add_tol_flags(p, grid_density=False)
     p.set_defaults(func=cmd_sweep)
 
@@ -254,7 +240,7 @@ def cmd_classify(args) -> int:
 
     doc["in_window"] = True
     doc["interval"] = {"a": interval.a, "m": interval.m, "b": interval.b}
-    gate = gate_check(params, interval, max(100, args.grid_density // 16), eps_cmp=args.eps_cmp)
+    gate = gate_check(params, interval, eps_cmp=args.eps_cmp)
     doc["gate"] = {
         "in_class_g": gate.in_class_g,
         "cond_endpoints": gate.cond_endpoints,
@@ -327,7 +313,7 @@ _SWEEP_CONFIG_KEYS = (
     "alpha_lo", "alpha_hi", "alpha_count",
     "beta_lo", "beta_hi", "beta_count",
     "lambda_mode", "lambda_lo", "lambda_hi", "lambda_count",
-    "methods", "out", "format", "jobs",
+    "methods", "out", "format",
 )
 
 
@@ -384,15 +370,14 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    jobs = int(s["jobs"]) if s["jobs"] is not None else _default_jobs()
-    rows = run_sweep(config, jobs=jobs, eps_cmp=args.eps_cmp, eps_root=args.eps_root)
+    rows = run_sweep(config, eps_cmp=args.eps_cmp, eps_root=args.eps_root)
     metadata = [
         f"chaoslab {__version__}",
         f"sweep alpha=({config.alpha_range[0]!r},{config.alpha_range[1]!r},{config.alpha_range[2]}) "
         f"beta=({config.beta_range[0]!r},{config.beta_range[1]!r},{config.beta_range[2]}) "
         f"lambda_mode={spec.kind} lambda_count={spec.count} "
         f"methods={'+'.join(m.value for m in methods)}",
-        f"gate_grid={SWEEP_GATE_GRID} eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
+        f"eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
     ]
     with _open_out(config.output_path) as fh:
         if config.output_format == "json":
@@ -497,6 +482,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except WindowError as exc:
         print(f"outside admissible window: {exc}", file=sys.stderr)
+        return EXIT_WINDOW
+    except DomainError as exc:
+        print(f"parameters below double resolution: {exc}", file=sys.stderr)
         return EXIT_WINDOW
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -50,7 +50,12 @@ EPS_ROOT = 1e-10
 
 
 class DomainError(ValueError):
-    """A price argument lies outside (0, inf)."""
+    """A price, or a threshold ordering, that the parameters cannot resolve in doubles.
+
+    Raised for a price argument outside (0, inf), and for thresholds that
+    round out of order; inside the window both happen only when the
+    parameters are too small for double precision.
+    """
 
 
 class WindowError(ValueError):
@@ -142,7 +147,8 @@ class ThresholdSet:
     def __post_init__(self):
         # coefficients 1/8 < 9/32 < 25/72 < 1/2 force this for every valid economy
         if not (self.lambda_g_low < self.lambda_pi < self.lambda_chaos < self.lambda_max):
-            raise ValueError(
+            # only a beta near the smallest doubles rounds them out of order
+            raise DomainError(
                 "threshold ordering violated: expected "
                 f"{self.lambda_g_low!r} < {self.lambda_pi!r} < "
                 f"{self.lambda_chaos!r} < {self.lambda_max!r}"
@@ -205,7 +211,7 @@ def thresholds(params: EconomyParams) -> ThresholdSet:
 def cell_thresholds(cells: Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`thresholds` of every cell: lambda_g_low, lambda_pi, lambda_chaos, lambda_max arrays.
 
-    Raises the ValueError of `ThresholdSet` for the first cell out of order.
+    Raises the DomainError of `ThresholdSet` for the first cell out of order.
     """
     th = _threshold_values(cells.alpha, cells.beta)
     ordered = (th[0] < th[1]) & (th[1] < th[2]) & (th[2] < th[3])

@@ -3,7 +3,10 @@
 The trapped price map f|E belongs to the admissible class when it is
 strictly decreasing then increasing around the interior critical point m,
 expands at the left endpoint (f(a) > a), contracts at the right (f(b) < b),
-stays below the diagonal on [m, b), and maps E into itself.  For maps in
+stays below the diagonal on [m, b), and maps E into itself.  Since
+f'' = 4*lam*beta/p**3 > 0 and 1 - f' = 2*lam*beta/p**2 > 0, f is convex
+with its minimum a at m and x - f(x) increases, so these reduce to a < m < b,
+f(a) > a, f(b) < b and max(f(a), f(b)) <= b (`gate_rule`).  For maps in
 that class, chaos is decided by two numbers: f^2(m) against m, and f^3(m)
 against the extremes of
 
@@ -23,6 +26,10 @@ evaluates the criterion directly (iteration plus Pi from those
 candidates), and `classify_closed_form` evaluates the equivalent
 lambda-threshold inequalities.  Agreement of the two on the whole parameter window is the
 package's central invariant and is exercised by the verify suite.
+
+The one-point functions run on Python floats.  `classify_mus` runs every
+step at once, as array expressions, on the canonical cells (0.75, 0.5, mu)
+that sweeps classify, and gives each cell the bits of the one-point route.
 """
 
 from __future__ import annotations
@@ -40,13 +47,14 @@ from .economy import (
     ConsistencyError,
     EconomyParams,
     TrappingInterval,
+    cell_intervals,
+    cell_thresholds,
     critical_point,
     price_map,
-    price_map_derivative,
     require_window,
     thresholds,
 )
-from .rootfind import dedupe_sorted, refine_root
+from .rootfind import bisect_brackets, dedupe_sorted, refine_root
 
 
 class Method(str, enum.Enum):
@@ -117,15 +125,6 @@ class SecondIterateSignReport:
 
 
 @dataclass(frozen=True)
-class ThirdIterateFactorReport:
-    """f^3(m) - z computed directly and as the telescoped two-factor product."""
-
-    f3_minus_pimax: float
-    factor1: float
-    factor2: float
-
-
-@dataclass(frozen=True)
 class EndpointGapReport:
     """The left-endpoint expansion gap f(a) - a, three ways.
 
@@ -148,102 +147,37 @@ def gate_check(
     *,
     eps_cmp: float = EPS_CMP,
 ) -> GateReport:
-    """Check the four admissibility conditions of f restricted to E.
+    """Check the four admissibility conditions of f restricted to E, in closed form.
 
-    Endpoint inequalities are evaluated exactly; the below-diagonal and
-    monotonicity conditions on grids of n_grid points (monotonicity via the
-    analytic derivative, sampled off the critical point where it vanishes);
-    the self-map condition on a closed grid with an eps_cmp-scaled slack
-    that absorbs float noise near the minimum, where f(x) ~ a.
+    See `gate_rule`.  n_grid is accepted and ignored: the gate samples no grid.
     """
-    a, m, b = (np.array([v]) for v in (interval.a, interval.m, interval.b))
-    return gate_reports([params], a, m, b, n_grid, eps_cmp)[0]
-
-
-def gate_reports(
-    params: list[EconomyParams],
-    a: np.ndarray,
-    m: np.ndarray,
-    b: np.ndarray,
-    n_grid: int,
-    eps_cmp: float,
-) -> list[GateReport]:
-    """`gate_check` of every cell of a chunk; a, m and b are the cells' intervals.
-
-    The grids are (cells x n_grid) arrays, so memory grows with the chunk.
-    """
-    if n_grid < 100:
-        raise ValueError(f"n_grid must be >= 100, got {n_grid}")
-    # each cell's parameters as a column against its row of grid points
-    columns = Cells(*(v[:, None] for v in Cells.of(params)))
-    f = price_map(columns)
-    df = price_map_derivative(columns)
-
-    xs = _grid_rows(m, b, n_grid, endpoint=False)  # [m, b)
-    below_gap = xs - f(xs)
-
-    left = _grid_rows(a, m, n_grid, endpoint=False)  # [a, m)
-    right = _grid_rows(m, b, n_grid + 1, endpoint=True)[:, 1:]  # (m, b]
-    unimodal = (df(left) < 0.0).all(axis=-1) & (df(right) > 0.0).all(axis=-1)
-
-    vals = f(_grid_rows(a, b, n_grid, endpoint=True))
-    return [
-        _gate_report(*cell, eps_cmp)
-        for cell in zip(
-            params, a.tolist(), m.tolist(), b.tolist(),
-            (below_gap > 0.0).all(axis=-1).tolist(), below_gap.min(axis=-1).tolist(),
-            unimodal.tolist(), vals.max(axis=-1).tolist(), vals.min(axis=-1).tolist(),
-        )
-    ]
-
-
-def _gate_report(
-    params, a, m, b, below_diagonal, below_min, unimodal, vals_max, vals_min, eps_cmp
-) -> GateReport:
-    # one cell, on Python floats, from the reductions of its grid rows
+    a, m, b = interval.a, interval.m, interval.b
     f = price_map(params)
-    fa = float(f(a))
-    fb = float(f(b))
-    cond_endpoints = fa > a and fb < b
-    slack = eps_cmp * max(1.0, b)
-    cond_self_map = vals_max <= b + slack and vals_min >= a - slack
-    return GateReport(
-        in_class_g=cond_endpoints and below_diagonal and unimodal and cond_self_map,
-        cond_endpoints=cond_endpoints,
-        cond_below_diagonal=below_diagonal,
-        cond_unimodal=unimodal,
-        cond_self_map=cond_self_map,
-        margin=min(fa - a, b - fb, below_min),
-    )
+    *flags, margin = gate_rule(f(a), f(b), a, m, b, eps_cmp)
+    return GateReport(*map(bool, flags), float(margin))
 
 
-def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int, *, endpoint: bool) -> np.ndarray:
-    """Row i is np.linspace(start[i], stop[i], n, endpoint=endpoint), bit for bit."""
-    div = n - 1 if endpoint else n
-    delta = stop - start
-    step = delta / div
-    ramp = np.arange(n, dtype=float)
-    rows = ramp * step[:, None] + start[:, None]
-    if not step.all():  # linspace scales by delta last when the step underflows to 0
-        flat = step == 0.0
-        rows[flat] = (ramp / div) * delta[flat, None] + start[flat, None]
-    if endpoint and n > 1:
-        rows[:, -1] = stop
-    return rows
+def gate_rule(fa, fb, a, m, b, eps_cmp):
+    """The `GateReport` fields from fa = f(a) and fb = f(b), for floats or arrays alike.
+
+    The map is convex with its minimum a = f(m) at m, so on [a, b] it is
+    unimodal when a < m < b, and its maximum is max(f(a), f(b)), which may
+    exceed b by an eps_cmp-scaled slack of float noise.  x - f(x) increases,
+    so its minimum on [m, b) is m - a, which makes a < m the below-diagonal
+    condition.  margin is the smallest slack of the strict inequalities.
+    """
+    endpoints = (fa > a) & (fb < b)
+    below_diagonal = a < m
+    unimodal = below_diagonal & (m < b)
+    self_map = np.maximum(fa, fb) <= b + eps_cmp * np.maximum(1.0, b)
+    margin = np.minimum(np.minimum(fa - a, b - fb), m - a)
+    in_class_g = endpoints & below_diagonal & unimodal & self_map
+    return in_class_g, endpoints, below_diagonal, unimodal, self_map, margin
 
 
 def fixed_point(params: EconomyParams) -> float:
     """The unique fixed point z = beta / (2*(1 - alpha)) of the map on (0, inf)."""
     return params.beta / (2.0 * (1.0 - params.alpha))
-
-
-def _second_iterate(params: EconomyParams | Cells):
-    f = price_map(params)
-
-    def F(x):
-        return f(f(x)) - x
-
-    return F
 
 
 def period2_points(params: EconomyParams) -> tuple[float, float] | None:
@@ -286,35 +220,23 @@ def pi_set(
     10*eps_root.  The fixed point always qualifies inside the window, so
     an empty result signals a numerics bug and raises.
     """
-    a, m = np.array([interval.a]), np.array([interval.m])
-    return pi_sets([params], a, m, [period2_points(params)], eps_root)[0]
+    f = price_map(params)
+    lo, hi = interval.a - eps_root, interval.m + eps_root
+    kept = [
+        x for x in sorted([fixed_point(params), *(period2_points(params) or ())])
+        if lo <= x <= hi and lo <= f(x) <= hi and abs(f(f(x)) - x) <= eps_root
+    ]
+    merged = dedupe_sorted(kept, 10.0 * eps_root)
+    if not merged:
+        raise _empty_pi_set(params)
+    return PiSet(points=tuple(merged))
 
 
-def pi_sets(
-    params: list[EconomyParams],
-    a: np.ndarray,
-    m: np.ndarray,
-    pairs: list[tuple[float, float] | None],
-    eps_root: float,
-) -> list[PiSet]:
-    """`pi_set` of every cell of a chunk, given its intervals and `period2_points`."""
-    out = []
-    for p, a_p, m_p, pair in zip(params, a.tolist(), m.tolist(), pairs):
-        f = price_map(p)
-        F = _second_iterate(p)
-        lo, hi = a_p - eps_root, m_p + eps_root
-        kept = [
-            x for x in sorted([fixed_point(p), *(pair or ())])
-            if lo <= x <= hi and lo <= float(f(x)) <= hi and abs(float(F(x))) <= eps_root
-        ]
-        merged = dedupe_sorted(kept, 10.0 * eps_root)
-        if not merged:
-            raise ConsistencyError(
-                "no confined period <= 2 point found although the fixed point "
-                f"must qualify inside the window (params={p!r})"
-            )
-        out.append(PiSet(points=tuple(merged)))
-    return out
+def _empty_pi_set(params: EconomyParams) -> ConsistencyError:
+    return ConsistencyError(
+        "no confined period <= 2 point found although the fixed point "
+        f"must qualify inside the window (params={params!r})"
+    )
 
 
 def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> ChaosVerdict:
@@ -338,20 +260,9 @@ def closed_form_rule(lam, lambda_chaos, lambda_max, eps_cmp):
     return (lam > lambda_chaos + eps_cmp) & below_max, (lam >= lambda_chaos - eps_cmp) & below_max
 
 
-def closed_form_audits(
-    params: list[EconomyParams],
-    m: np.ndarray,
-    pairs: list[tuple[float, float] | None],
-) -> list[tuple[float, float, float, float]]:
-    """The audit floats f2_of_m, f3_of_m, pi_max, pi_min of `classify_closed_form`, per cell.
-
-    m holds the cells' critical points, pairs their `period2_points`.
-    """
-    return [_closed_form_audit(*cell) for cell in zip(params, m.tolist(), pairs)]
-
-
 def _closed_form_audit(params, m, pair) -> tuple[float, float, float, float]:
-    # one cell, on Python floats: as arrays this costs a lone call three times more
+    # one cell, on Python floats: as arrays this costs a lone call three times more;
+    # classify_mus is the array form
     f = price_map(params)
     a = float(f(m))
     f2m = float(f(a))
@@ -384,18 +295,8 @@ def classify_numerical(
     return _numerical_verdict(params, interval.m, pi, eps_cmp)
 
 
-def numerical_verdicts(
-    params: list[EconomyParams],
-    m: np.ndarray,
-    pis: list[PiSet],
-    eps_cmp: float,
-) -> list[ChaosVerdict]:
-    """`classify_numerical` of every cell of a chunk, from its m and `pi_sets`."""
-    return [_numerical_verdict(p, mi, pi, eps_cmp) for p, mi, pi in zip(params, m.tolist(), pis)]
-
-
 def _numerical_verdict(params, m, pi, eps_cmp) -> ChaosVerdict:
-    # one cell, on Python floats, as _closed_form_verdict
+    # one cell, on Python floats, as _closed_form_audit
     f = price_map(params)
     f2m = float(f(f(m)))
     f3m = float(f(f2m))
@@ -411,6 +312,101 @@ def _numerical_verdict(params, m, pi, eps_cmp) -> ChaosVerdict:
     )
 
 
+@dataclass(frozen=True)
+class MuColumns:
+    """The `classify_mus` columns, one element per mu.
+
+    gate holds the `GateReport` fields in order, pair the `period2_points`
+    pair (nan where there is none), closed_form and numerical the
+    `ChaosVerdict` fields but method; a method not run leaves None.
+    """
+
+    gate: tuple[np.ndarray, ...]
+    pair: tuple[np.ndarray, np.ndarray]
+    closed_form: tuple[np.ndarray, ...] | None
+    numerical: tuple[np.ndarray, ...] | None
+
+
+def classify_mus(mus, methods, eps_cmp: float = EPS_CMP, eps_root: float = EPS_ROOT) -> MuColumns:
+    """`gate_check`, `period2_points` and the classifiers of the cells (0.75, 0.5, mu), as columns.
+
+    Each mu must lie strictly inside the window (1, 4) with a proper
+    interval.  There 2*beta = 4*(1-alpha) = 1, so the map is
+    g(x) = x + mu*(1/x - 1) with fixed point 1, and q(x) = x*(x - mu) + mu/2.
+    Element i equals the one-point result at lam = mus[i] bit for bit: the
+    same float operations run elementwise, the pair comes from one
+    `bisect_brackets` call, and the Pi filter of `pi_set` is a set of masks
+    over the sorted candidates w1 <= 1 <= w2.  The first cell with an empty
+    Pi set raises the ConsistencyError of `pi_set`.
+    """
+    mu = np.asarray(mus, dtype=float)
+    cells = Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu)
+    f = price_map(cells)
+    a, m, b = cell_intervals(cells)
+    f2m = f(a)
+    f3m = f(f2m)
+    w1, w2 = _canonical_pairs(mu)
+    closed_form = numerical = None
+    if Method.CLOSED_FORM in methods:
+        th = cell_thresholds(cells)
+
+        def confined(w):
+            fw = f(w)
+            return (a <= w) & (w <= m) & (a <= fw) & (fw <= m)
+
+        closed_form = (
+            *closed_form_rule(mu, th[2], th[3], eps_cmp), f2m, f3m,
+            np.where(confined(w2), w2, 1.0), np.where(confined(w1), w1, 1.0),
+        )
+    if Method.NUMERICAL in methods:
+        lo, hi = a - eps_root, m + eps_root
+
+        def kept(x):
+            fx = f(x)
+            return (lo <= x) & (x <= hi) & (lo <= fx) & (fx <= hi) & (np.abs(f(fx) - x) <= eps_root)
+
+        k1, k2, k3 = kept(w1), kept(np.ones_like(mu)), kept(w2)
+        empty = ~(k1 | k2 | k3)
+        if empty.any():
+            raise _empty_pi_set(EconomyParams(alpha=0.75, beta=0.5, lam=mu[np.argmax(empty)]))
+        # dedupe_sorted: a point within 10*eps_root of the last one kept merges into it
+        tol = 10.0 * eps_root
+        d2 = k2 & ~(k1 & (1.0 - w1 <= tol))
+        d3 = k3 & ~((k1 | d2) & (w2 - np.where(d2, 1.0, w1) <= tol))
+        pi_max = np.where(d3, w2, np.where(d2, 1.0, w1))
+        pi_min = np.where(k1, w1, np.where(d2, 1.0, w2))
+        expands = f2m > m + eps_cmp
+        numerical = (
+            expands & (f3m > pi_max + eps_cmp), expands & (f3m >= pi_min - eps_cmp),
+            f2m, f3m, pi_max, pi_min,
+        )
+    gate = gate_rule(f(a), f(b), a, m, b, eps_cmp)
+    return MuColumns(gate, (w1, w2), closed_form, numerical)
+
+
+def _canonical_pairs(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`period2_points` of the cells (0.75, 0.5, mu) as two columns, nan where there is none."""
+    def q_of(mu):
+        half = 0.5 * mu
+        return lambda x: x * (x - mu) + half
+
+    q1 = q_of(mu)(1.0)
+    w1 = np.where(q1 == 0.0, 1.0, np.nan)
+    w2 = w1.copy()
+    cross = np.flatnonzero(q1 < 0.0)
+    n = len(cross)
+    mus = mu.tolist()
+    roots = bisect_brackets(
+        np.concatenate([np.full(n, 0.5), np.ones(n)]),
+        np.concatenate([np.ones(n), mu[cross]]),
+        np.concatenate([cross, cross]),
+        lambda i: q_of(mus[i]),
+        lambda owner: q_of(mu[owner]),
+    )
+    w1[cross], w2[cross] = roots[:n], roots[n:]
+    return w1, w2
+
+
 def second_iterate_sign_report(params: EconomyParams) -> SecondIterateSignReport:
     """Report (never assert) the sign of f^2(m) - m against the flipped rule."""
     th = thresholds(params)
@@ -422,34 +418,6 @@ def second_iterate_sign_report(params: EconomyParams) -> SecondIterateSignReport
         rule_predicts_drop=rule,
         observed_drop=gap < 0.0,
     )
-
-
-def third_iterate_factor_report(
-    params: EconomyParams, *, tol: float = 1e-9
-) -> ThirdIterateFactorReport:
-    """Cross-check f^3(m) - z against its exact two-factor telescoping.
-
-    f(u) - f(v) = (u - v) * (1 - 2*beta*lam/(u*v)) for any u, v > 0, so with
-    u = f^2(m) and v = z the gap factors exactly.  Disagreement of the two
-    routes beyond tol raises ConsistencyError.  When lam > lambda_pi the
-    fixed point is max(Pi), making the gap the margin of the odd-cycle test.
-    """
-    require_window(params)
-    f = price_map(params)
-    m = critical_point(params)
-    z = fixed_point(params)
-    f2m = float(f(f(m)))
-    f3m = float(f(f2m))
-    direct = f3m - z
-    factor1 = f2m - z
-    factor2 = 1.0 - 2.0 * params.beta * params.lam / (f2m * z)
-    factored = factor1 * factor2
-    if abs(direct - factored) > tol:
-        raise ConsistencyError(
-            f"third-iterate gap mismatch: direct {direct!r} vs factored {factored!r} "
-            f"(params={params!r})"
-        )
-    return ThirdIterateFactorReport(f3_minus_pimax=direct, factor1=factor1, factor2=factor2)
 
 
 def endpoint_gap_report(params: EconomyParams) -> EndpointGapReport:

@@ -14,20 +14,18 @@ With z = beta/(2*(1-alpha)), the fixed point, f(p) = z*g(p/z) for
 g(x) = x + mu*(1/x - 1), which is the price map of the canonical cell
 (0.75, 0.5, mu): there 2*beta = 1 and 4*(1-alpha) = 1 exactly, so the map
 code evaluates g bit for bit.  A sweep therefore classifies each distinct
-mu of its in-window cells once, on the canonical cell: gate, intervals,
-Pi set and numerical verdicts, CHUNK_CELLS canonical cells at a time as
-arrays.  Each row takes in_class_g and the numerical verdicts from its
-canonical cell, and z times the canonical f2_of_m, f3_of_m and pi_max.
-The closed-form verdicts come from the row's own thresholds, so the two
-routes stay independent.  Everything per cell is a column: the cells are
-arrays built from the axes and checked in one pass, the per-mu results
-are gathered to them by index and scaled by z as arrays, and the rows and
-the CSV text are made column by column.  Every row is bit for bit the row
-its cell gets on its own (`evaluate_cell` is a one-cell sweep).  A cell whose float mu rounds onto
-a window edge has no proper canonical interval; its row is blank, as
-outside the window.  Window-relative sweeps share mu across (alpha, beta);
-absolute-lambda sweeps have about one mu per cell, and from POOL_MIN_CHUNKS
-chunks of distinct mu on, `jobs` worker processes classify the chunks.
+mu of its in-window cells once, on the canonical cell, in one
+`classify_mus` pass over all of them: gate, intervals, Pi set and
+numerical verdicts as array expressions.  Each row takes in_class_g and
+the numerical verdicts from its canonical cell, and z times the canonical
+f2_of_m, f3_of_m and pi_max.  The closed-form verdicts come from the row's
+own thresholds, so the two routes stay independent.  Everything per cell
+is a column: the cells are arrays built from the axes and checked in one
+pass, the per-mu results are gathered to them by index and scaled by z as
+arrays, and the rows and the CSV text are made column by column.  Every
+row is bit for bit the row its cell gets on its own (`evaluate_cell` is a
+one-cell sweep).  A cell whose float mu rounds onto a window edge has no
+proper canonical interval; its row is blank, as outside the window.
 """
 
 from __future__ import annotations
@@ -44,31 +42,16 @@ from .economy import (
     EPS_CMP,
     EPS_ROOT,
     Cells,
-    EconomyParams,
-    cell_intervals,
     cell_thresholds,
     interval_arrays,
 )
 from .gate import (
     Method,
+    classify_mus,
     classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
-    closed_form_audits,
     closed_form_rule,
     fixed_point,
-    gate_reports,
-    numerical_verdicts,
-    period2_points,
-    pi_sets,
 )
-
-#: grid density used for the admissibility check inside sweeps
-SWEEP_GATE_GRID = 256
-#: cells evaluated together as arrays; bounds each gate grid at CHUNK_CELLS x (SWEEP_GATE_GRID + 1)
-CHUNK_CELLS = 64
-
-#: run_sweep starts worker processes only for this many chunks of distinct mu
-#: (4096 canonical cells) or more; on fewer, two workers are no faster than one
-POOL_MIN_CHUNKS = 64
 
 #: CSV columns and JSON keys, in order: the SweepRow fields, with lam written as lambda
 CSV_COLUMNS = (
@@ -181,10 +164,9 @@ def evaluate_cell(
     *,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-    gate_grid: int = SWEEP_GATE_GRID,
 ) -> SweepRow:
     """Classify one grid cell; outside the window all verdict columns are None."""
-    return _eval_cells(Cells.checked([alpha], [beta], [lam]), methods, eps_cmp, eps_root, gate_grid)[0]
+    return _eval_cells(Cells.checked([alpha], [beta], [lam]), methods, eps_cmp, eps_root)[0]
 
 
 def _cells(config: SweepConfig) -> Cells:
@@ -202,7 +184,7 @@ def mu_of(cells: Cells) -> np.ndarray:
     return 8.0 * cells.lam * np.float_power(1.0 - cells.alpha, 2.0) / cells.beta
 
 
-def _eval_cells(cells: Cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_GRID, jobs=1):
+def _eval_cells(cells: Cells, methods, eps_cmp, eps_root):
     """Rows for the cells, in order, each distinct mu classified once on its canonical cell.
 
     Raises the ValueError of EconomyParams for the first invalid cell.
@@ -216,53 +198,25 @@ def _eval_cells(cells: Cells, methods, eps_cmp, eps_root, gate_grid=SWEEP_GATE_G
     proper = interval_arrays(Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu))[3]
     inside = (th[0] < raw.lam) & (raw.lam < th[3]) & proper
     mus, canonical_of = np.unique(mu[inside], return_inverse=True)
-    mus = mus.tolist()
-    chunks = [mus[i:i + CHUNK_CELLS] for i in range(0, len(mus), CHUNK_CELLS)]
-    args = [[arg] * len(chunks) for arg in (methods, eps_cmp, eps_root, gate_grid)]
-    if jobs > 1 and len(chunks) >= POOL_MIN_CHUNKS:
-        # imported here so that serial sweeps and every other command skip the cost
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_window_verdicts, chunks, *args))
-    else:
-        done = map(_window_verdicts, chunks, *args)
-    verdicts = [v for chunk in done for v in chunk]
-    # gather the per-mu verdicts to the inside cells, column by column
+    per_mu = classify_mus(mus, methods, eps_cmp, eps_root)
+    # gather the per-mu columns to the inside cells; the audit floats are f2_of_m,
+    # f3_of_m and pi_max: the numerical verdict's, or the closed form's when only it runs
     in_class_g = np.zeros(len(mu), dtype=bool)
-    in_class_g[inside] = np.array([v[0] for v in verdicts], dtype=bool)[canonical_of]
-    audits = np.array([v[1] for v in verdicts], dtype=float).reshape(-1, 3)[canonical_of].T
+    in_class_g[inside] = per_mu.gate[0][canonical_of]
+    audits = [z[inside] * v[canonical_of] for v in (per_mu.numerical or per_mu.closed_form)[2:5]]
     cf = num = (None, None)
     if Method.CLOSED_FORM in methods:
         cf = [v[inside] for v in closed_form_rule(raw.lam, th[2], th[3], eps_cmp)]
     if Method.NUMERICAL in methods:
-        pairs = [(n.odd_cycle, n.turbulent_second_iterate) for _, _, n in verdicts]
-        num = np.array(pairs, dtype=bool).reshape(-1, 2)[canonical_of].T
+        num = [v[canonical_of] for v in per_mu.numerical[:2]]
     agree = None if cf[0] is None or num[0] is None else (cf[0] == num[0]) & (cf[1] == num[1])
     columns = [v.tolist() for v in (*raw, *th, in_class_g)]
     # None blanks the cells outside, and every cell of a method not run
-    for values in (*(z[inside] * audits), *cf, *num, agree):
+    for values in (*audits, *cf, *num, agree):
         column = np.full(len(mu), None, dtype=object)
         column[inside] = values
         columns.append(column.tolist())
     return list(map(SweepRow, *columns))
-
-
-def _window_verdicts(mus, methods, eps_cmp, eps_root, gate_grid):
-    """(in_class_g, audit floats, numerical verdict or None) per canonical cell (0.75, 0.5, mu).
-
-    The audit floats are f2_of_m, f3_of_m and pi_max: the numerical
-    verdict's, or the closed form's when only the closed form runs.
-    """
-    params = [EconomyParams(alpha=0.75, beta=0.5, lam=mu) for mu in mus]
-    a, m, b = cell_intervals(Cells.of(params))
-    gates = gate_reports(params, a, m, b, gate_grid, eps_cmp)
-    pairs = [period2_points(p) for p in params]
-    if Method.NUMERICAL not in methods:
-        audits = closed_form_audits(params, m, pairs)
-        return [(g.in_class_g, audit[:3], None) for g, audit in zip(gates, audits)]
-    nums = numerical_verdicts(params, m, pi_sets(params, a, m, pairs, eps_root), eps_cmp)
-    return [(g.in_class_g, (n.f2_of_m, n.f3_of_m, n.pi_max), n) for g, n in zip(gates, nums)]
 
 
 def run_sweep(
@@ -274,12 +228,12 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
-    With jobs > 1 and at least POOL_MIN_CHUNKS chunks of distinct mu,
-    worker processes classify the CHUNK_CELLS slices of canonical cells;
-    pool.map returns them in order, so the rows (and any emitted file) are
-    identical to a serial run.
+    Sweeps run in one process: jobs is accepted for callers that pass
+    jobs=1, and any other value raises ValueError.
     """
-    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root, jobs=jobs)
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1: sweeps run in one process, got {jobs!r}")
+    return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root)
 
 
 def write_rows_csv(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:

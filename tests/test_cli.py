@@ -211,8 +211,9 @@ SMALL_VERIFY = ("--alpha-count", "3", "--beta-count", "3", "--lambda-count", "4"
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (("classify", *POINT), "must be >= 2"),
-        (("sweep", *SWEEP_CELL), "unrecognized arguments"),  # sweep has no scan to size
+        # classify and sweep have no scan to size
+        (("classify", *POINT), "unrecognized arguments"),
+        (("sweep", *SWEEP_CELL), "unrecognized arguments"),
         (("certify", *POINT), "must be >= 2"),
         (("verify", *SMALL_VERIFY), "must be >= 2"),
     ],
@@ -231,6 +232,21 @@ def test_grid_density_two_passes_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", *SMALL_VERIFY, "--grid-density", "2")
     assert code == EXIT_OK
     assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # 2*lam*beta underflows, so m = sqrt(2*lam*beta) is 0
+    ("classify", "--alpha", "0.5", "--beta", "1e-200", "--lambda", "1.8e-200"),
+    ("certify", "--alpha", "0.5", "--beta", "1e-200", "--lambda", "1.8e-200"),
+    # the four thresholds round out of order
+    ("classify", "--alpha", "0.5", "--beta", "5e-324", "--lambda", "9e-324"),
+], ids=["classify", "certify", "thresholds"])
+def test_parameters_below_double_resolution_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_WINDOW
+    assert out == ""
+    assert err.startswith("parameters below double resolution: ")
+    assert "Traceback" not in err
 
 
 class TestSweep:
@@ -307,10 +323,11 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", *SWEEP_CELL, "--eps-root", "1e-11")
         assert code == EXIT_OK
         meta = [ln for ln in out.splitlines() if ln.startswith("#")]
-        assert meta[-1] == "# gate_grid=256 eps_cmp=1e-12 eps_root=1e-11"
+        assert meta[-1] == "# eps_cmp=1e-12 eps_root=1e-11"
 
     def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHAOSLAB_JOBS", "2")
+        # sweeps run in one process and CHAOSLAB_JOBS is not read, whatever it holds
+        monkeypatch.setenv("CHAOSLAB_JOBS", "many")
         code, out, _ = run_cli(
             capsys, "sweep",
             "--alpha-lo", "0.7", "--alpha-hi", "0.8", "--alpha-count", "2",
@@ -321,16 +338,19 @@ class TestSweep:
         data = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
         assert len(data) == 1 + 4
 
-    def test_bad_jobs_env_exits_64(self, capsys, monkeypatch):
+    def test_bad_jobs_env_exits_64(self, capsys, monkeypatch, tmp_path):
+        # a jobs setting is now a usage error as a flag or a config key; the variable is not
+        # read, so the error names the flag, not CHAOSLAB_JOBS (test_jobs_env_default)
         monkeypatch.setenv("CHAOSLAB_JOBS", "many")
-        code, _, err = run_cli(
-            capsys, "sweep",
-            "--alpha-lo", "0.7", "--alpha-hi", "0.8", "--alpha-count", "2",
-            "--beta-lo", "0.5", "--beta-hi", "0.5", "--beta-count", "1",
-            "--lambda-count", "2",
-        )
-        assert code == EXIT_USAGE
-        assert "CHAOSLAB_JOBS" in err
+        code, out, err = run_cli(capsys, "sweep", *SWEEP_CELL, "--jobs", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --jobs 2" in err
+        assert "CHAOSLAB_JOBS" not in err
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"jobs": 1}))
+        code, out, err = run_cli(capsys, "sweep", *SWEEP_CELL, "--config", str(config))
+        assert code == EXIT_USAGE and out == ""
+        assert "unknown config key: 'jobs'" in err
 
 
 class TestVerify:

@@ -1,10 +1,13 @@
-"""Symbolic derivation of the facts `gate.period2_points` and `gate.pi_set` rely on.
+"""Symbolic derivation of the facts the gate, the Pi set and the factor check rely on.
 
 With c = 4*(1-alpha), f(f(x)) - x factors as
 -2*lam*(c*x - 2*beta)*q(x) / (x**2*f(x)), q(x) = x**2 - c*lam*x + beta*lam,
 so the fixed point z = 2*beta/c and the roots of q are the only period <= 2
 points; no scan is needed to find them.  The thresholds are taken in the
-normal form lam = mu*beta/(8*(1-alpha)**2).
+normal form lam = mu*beta/(8*(1-alpha)**2).  f is convex and x - f(x)
+increases, which reduces `gate.gate_check` to comparisons at a, m and b,
+and f(u) - f(v) factors, which `verify.check_factor_identity` checks in
+floats at u = f^2(m), v = z.
 """
 
 import pytest
@@ -50,3 +53,15 @@ def test_pair_meets_the_interval_ends_at_lambda_pi():
     m = sp.sqrt(2 * lam * beta)
     assert at_mu(w2 - m, sp.Rational(9, 4)) == 0
     assert at_mu(w1 - f(m), sp.Rational(9, 4)) == 0
+
+
+def test_gate_rests_on_convexity_and_a_rising_diagonal_gap():
+    assert sp.simplify(sp.diff(f(x), x, 2) - 4 * lam * beta / x**3) == 0
+    assert sp.simplify(sp.diff(x - f(x), x) - 2 * lam * beta / x**2) == 0
+
+
+def test_map_differences_factor():
+    u, v = sp.symbols("u v", positive=True)
+    assert sp.simplify(f(u) - f(v) - (u - v) * (1 - 2 * beta * lam / (u * v))) == 0
+    # at v = z, the third-iterate gap f(u) - z telescopes into the same two factors
+    assert sp.simplify(f(u) - z - (u - z) * (1 - 2 * beta * lam / (u * z))) == 0

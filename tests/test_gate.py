@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from chaoslab import (
+    ChaosVerdict,
     ConsistencyError,
     EconomyParams,
+    GateReport,
     Method,
     WindowError,
     classify_closed_form,
@@ -19,12 +21,11 @@ from chaoslab import (
     price_map,
     second_iterate_sign_report,
     step,
-    third_iterate_factor_report,
     thresholds,
     trapping_interval,
 )
-from chaoslab.economy import EPS_CMP, EPS_ROOT, Cells, cell_intervals
-from chaoslab.gate import _grid_rows, gate_reports, pi_sets
+from chaoslab.economy import EPS_CMP, EPS_ROOT, Cells, cell_intervals, price_map_derivative
+from chaoslab.gate import classify_mus, gate_rule
 from chaoslab.rootfind import grid_brackets, refine_root
 
 from conftest import exact_orbit, random_window_params
@@ -62,9 +63,26 @@ class TestGateCheck:
         report = gate_check(anchor, trapping_interval(anchor), 512)
         assert report.margin == pytest.approx(1.71, abs=1e-12)
 
-    def test_rejects_sparse_grid(self, anchor):
-        with pytest.raises(ValueError):
-            gate_check(anchor, trapping_interval(anchor), 50)
+    def test_gate_rule_flags_each_condition(self):
+        # a proper trapping interval always has a < m < b and max(f(a), f(b)) < b + slack
+        # when its endpoints hold, so each flag is checked here on hand-made values
+        slack = EPS_CMP * 4.0
+        cases = [  # (fa, fb, a, m, b), then the six GateReport fields
+            ((3.0, 3.5, 1.0, 2.0, 4.0), (True, True, True, True, True, 0.5)),
+            ((3.0, 3.5, 1.0, 4.0, 4.0), (False, True, True, False, True, 0.5)),
+            ((3.0, 3.5, 2.0, 2.0, 4.0), (False, True, False, False, True, 0.0)),
+            ((4.0 + slack / 2, 3.5, 1.0, 2.0, 4.0), (True, True, True, True, True, 0.5)),
+            ((4.0 + slack * 2, 3.5, 1.0, 2.0, 4.0), (False, True, True, True, False, 0.5)),
+            ((0.5, 4.5, 1.0, 2.0, 4.0), (False, False, True, True, False, -0.5)),
+        ]
+        for args, want in cases:
+            assert tuple(v.item() if hasattr(v, "item") else v for v in gate_rule(*args, EPS_CMP)) == want
+        columns = gate_rule(*(np.array(v) for v in zip(*(args for args, _ in cases))), EPS_CMP)
+        assert [tuple(v.tolist()) for v in columns] == [tuple(v) for v in zip(*(w for _, w in cases))]
+
+    def test_grid_size_is_ignored(self, anchor):
+        interval = trapping_interval(anchor)
+        assert gate_check(anchor, interval, 50) == gate_check(anchor, interval)
 
 
 class TestEndpointGap:
@@ -333,25 +351,55 @@ class TestSecondIterateSignReport:
         assert abs(rep.f2_minus_m) < 1e-9
 
 
-class TestThirdIterateFactorReport:
-    def test_anchor_factors(self, anchor):
-        rep = third_iterate_factor_report(anchor)
-        assert rep.f3_minus_pimax == pytest.approx(11.201707317073171, abs=1e-9)
-        assert rep.factor1 == pytest.approx(14.58, abs=1e-9)
-        assert rep.factor2 == pytest.approx(1.0 - 3.61 / 15.58, abs=1e-9)
-        assert rep.factor1 > 0.0
+def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int, *, endpoint: bool) -> np.ndarray:
+    """Row i is np.linspace(start[i], stop[i], n, endpoint=endpoint), bit for bit."""
+    div = n - 1 if endpoint else n
+    delta = stop - start
+    step = delta / div
+    ramp = np.arange(n, dtype=float)
+    rows = ramp * step[:, None] + start[:, None]
+    if not step.all():  # linspace scales by delta last when the step underflows to 0
+        flat = step == 0.0
+        rows[flat] = (ramp / div) * delta[flat, None] + start[flat, None]
+    if endpoint and n > 1:
+        rows[:, -1] = stop
+    return rows
 
-    def test_sign_identity(self):
-        for params in random_window_params(seed=333, count=50):
-            rep = third_iterate_factor_report(params)
-            lhs = math.copysign(1.0, rep.f3_minus_pimax)
-            rhs = math.copysign(1.0, rep.factor1 * rep.factor2)
-            if abs(rep.f3_minus_pimax) > 1e-12:
-                assert lhs == rhs
 
-    def test_rejects_outside_window(self):
-        with pytest.raises(WindowError):
-            third_iterate_factor_report(EconomyParams(alpha=0.75, beta=0.5, lam=0.9))
+def gate_reports(params, a, m, b, n_grid, eps_cmp) -> list[GateReport]:
+    """The sampled gate, as reference: each condition checked on grids of n_grid points per cell.
+
+    Below-diagonal on [m, b), monotonicity by the sign of f' on [a, m) and
+    (m, b], the self-map condition on [a, b] with the gate's slack.
+    """
+    columns = Cells(*(v[:, None] for v in Cells.of(params)))
+    f = price_map(columns)
+    df = price_map_derivative(columns)
+    xs = _grid_rows(m, b, n_grid, endpoint=False)  # [m, b)
+    below_gap = xs - f(xs)
+    left = _grid_rows(a, m, n_grid, endpoint=False)  # [a, m)
+    right = _grid_rows(m, b, n_grid + 1, endpoint=True)[:, 1:]  # (m, b]
+    unimodal = (df(left) < 0.0).all(axis=-1) & (df(right) > 0.0).all(axis=-1)
+    vals = f(_grid_rows(a, b, n_grid, endpoint=True))
+    out = []
+    for p, a_p, m_p, b_p, below, below_min, uni, v_max, v_min in zip(
+        params, a.tolist(), m.tolist(), b.tolist(),
+        (below_gap > 0.0).all(axis=-1).tolist(), below_gap.min(axis=-1).tolist(),
+        unimodal.tolist(), vals.max(axis=-1).tolist(), vals.min(axis=-1).tolist(),
+    ):
+        fa, fb = step(p, a_p), step(p, b_p)
+        endpoints = fa > a_p and fb < b_p
+        slack = eps_cmp * max(1.0, b_p)
+        self_map = v_max <= b_p + slack and v_min >= a_p - slack
+        out.append(GateReport(
+            endpoints and below and uni and self_map, endpoints, below, uni, self_map,
+            min(fa - a_p, b_p - fb, below_min),
+        ))
+    return out
+
+
+def _bits(values) -> list[str]:
+    return [repr(v) for v in values]
 
 
 class TestChunkForms:
@@ -367,18 +415,88 @@ class TestChunkForms:
             assert row.tobytes() == np.linspace(lo, hi, n, endpoint=endpoint).tobytes()
 
     def test_gate_reports_equal_gate_check_per_cell(self):
-        params = random_window_params(seed=515, count=70, frac_range=(0.0, 1.0))
-        a, m, b = cell_intervals(Cells.of(params))
-        for n_grid in (100, 256):
-            want = [gate_check(p, trapping_interval(p), n_grid) for p in params]
-            assert gate_reports(params, a, m, b, n_grid, EPS_CMP) == want
+        # the sampled gate agrees with the closed form on every flag, and on the
+        # margin bit for bit, once mu is 1e-9 or more above the window's low edge
+        rng = np.random.default_rng(2022)
+        params = []
+        for k in range(5000):
+            alpha = float(rng.uniform(0.02, 0.98))
+            beta = math.exp(rng.uniform(math.log(1e-3), math.log(0.98)))
+            mu = 1.0 + 10.0 ** rng.uniform(-9.0, -1.0) if k % 4 == 0 else rng.uniform(1.0 + 1e-9, 4.0)
+            params.append(EconomyParams(alpha, beta, mu * beta / (8.0 * (1.0 - alpha) ** 2)))
+        intervals = [trapping_interval(p) for p in params]
+        want = [gate_check(p, iv) for p, iv in zip(params, intervals)]
+        for n_grid in (256, 512):
+            for i in range(0, len(params), 500):
+                chunk = Cells.of(params[i:i + 500])
+                got = gate_reports(params[i:i + 500], *cell_intervals(chunk), n_grid, EPS_CMP)
+                for g, w in zip(got, want[i:i + 500]):
+                    assert g == w and repr(g.margin) == repr(w.margin)
 
-    def test_pi_sets_equal_pi_set_per_cell(self):
-        params = random_window_params(seed=516, count=70, frac_range=(0.0, 1.0))
-        a, m, _ = cell_intervals(Cells.of(params))
-        pairs = [period2_points(p) for p in params]
-        want = [pi_set(p, trapping_interval(p)) for p in params]
-        assert pi_sets(params, a, m, pairs, EPS_ROOT) == want
+    def test_sampled_gate_rejects_a_cell_next_to_mu_1_that_the_closed_form_accepts(self):
+        # mu - 1 = 1.3e-14: f' rounds to 0 at the grid points next to m
+        params = EconomyParams(0.8128619422290805, 0.41110317319336825, 1.4673597645044116)
+        interval = trapping_interval(params)
+        assert abs(8.0 * params.lam * (1.0 - params.alpha) ** 2 / params.beta - 1.0) < 1e-13
+        assert gate_check(params, interval).in_class_g
+        for n_grid in (256, 512):
+            [sampled] = gate_reports([params], *cell_intervals(Cells.of([params])), n_grid, EPS_CMP)
+            assert not sampled.in_class_g and not sampled.cond_unimodal
+            assert sampled.cond_endpoints and sampled.cond_below_diagonal and sampled.cond_self_map
+
+    @pytest.mark.parametrize("methods", [
+        (Method.CLOSED_FORM, Method.NUMERICAL), (Method.CLOSED_FORM,), (Method.NUMERICAL,),
+    ])
+    def test_classify_mus_equals_the_one_point_routes_per_cell(self, methods):
+        rng = np.random.default_rng(516)
+        exact = [2.0, 2.25]
+        mus = [*exact, *(math.nextafter(x, d) for x in exact for d in (0.0, 5.0))]
+        mus += (25 / 9 + rng.uniform(-1e-6, 1e-6, 200)).tolist()
+        mus += rng.uniform(1.0 + 1e-9, 4.0, 1800).tolist()
+        mus = sorted(set(mus))
+        assert len(mus) >= 2000
+        cols = classify_mus(mus, methods)
+        assert (cols.closed_form is None) == (Method.CLOSED_FORM not in methods)
+        assert (cols.numerical is None) == (Method.NUMERICAL not in methods)
+        for i, mu in enumerate(mus):
+            params = EconomyParams(alpha=0.75, beta=0.5, lam=mu)
+            interval = trapping_interval(params)
+            gate = gate_check(params, interval)
+            assert GateReport(*(v[i].item() for v in cols.gate)) == gate
+            assert repr(cols.gate[-1][i].item()) == repr(gate.margin)
+            pair = period2_points(params)
+            got_pair = [v[i].item() for v in cols.pair]
+            assert _bits(got_pair) == (["nan", "nan"] if pair is None else _bits(pair))
+            for column, route in ((cols.closed_form, lambda: classify_closed_form(params)),
+                                  (cols.numerical, lambda: classify_numerical(params, interval))):
+                if column is not None:
+                    want = route()
+                    got = ChaosVerdict(*(v[i].item() for v in column), want.method)
+                    assert got == want and _bits(vars(got).values()) == _bits(vars(want).values())
+
+    def test_classify_mus_merges_candidates_as_pi_set_does(self):
+        # with eps_root = 1e-3 the merge width 1e-2 joins the pair to the fixed point
+        # for mu up to about 2 + 2e-4, and the pair to itself a little beyond
+        mus = (2.0 + np.linspace(0.0, 1e-3, 400)).tolist()
+        cols = classify_mus(mus, (Method.NUMERICAL,), eps_root=1e-3)
+        merged = 0
+        for i, mu in enumerate(mus):
+            params = EconomyParams(alpha=0.75, beta=0.5, lam=mu)
+            interval = trapping_interval(params)
+            merged += len(pi_set(params, interval, eps_root=1e-3).points) < 3
+            want = classify_numerical(params, interval, eps_root=1e-3)
+            got = ChaosVerdict(*(v[i].item() for v in cols.numerical), want.method)
+            assert _bits(vars(got).values()) == _bits(vars(want).values())
+        assert 0 < merged < len(mus)
+
+    def test_classify_mus_raises_the_error_of_pi_set_for_the_first_failing_cell(self):
+        # a negative residual bound confines no candidate, not even the fixed point
+        with pytest.raises(ConsistencyError) as got:
+            classify_mus([3.0, 1.5], (Method.NUMERICAL,), eps_root=-1.0)
+        params = EconomyParams(alpha=0.75, beta=0.5, lam=3.0)
+        with pytest.raises(ConsistencyError) as want:
+            pi_set(params, trapping_interval(params), eps_root=-1.0)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("lam, bound", [(0.5, "lambda_g_low"), (1.0, "lambda_g_low"),
@@ -388,7 +506,7 @@ def test_one_window_check_everywhere(lam, bound):
     with pytest.raises(WindowError) as want:
         trapping_interval(params)
     assert want.value.bound == bound
-    for check in (classify_closed_form, third_iterate_factor_report, endpoint_gap_report):
+    for check in (classify_closed_form, endpoint_gap_report):
         with pytest.raises(WindowError) as got:
             check(params)
         assert str(got.value) == str(want.value)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from chaoslab import EconomyParams, price_map, trapping_interval
 from chaoslab.economy import Cells
-from chaoslab.gate import _second_iterate
 from chaoslab.orbits import _lap_ends
 from chaoslab.rootfind import (
     REFINE_LOOP_BELOW,
@@ -17,6 +16,12 @@ from chaoslab.rootfind import (
 )
 
 from conftest import random_window_params
+
+
+def _second_iterate(params):
+    """f(f(x)) - x of EconomyParams or of Cells, for floats and arrays."""
+    f = price_map(params)
+    return lambda x: f(f(x)) - x
 
 
 def reference_bisect(func, los, his):

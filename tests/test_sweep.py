@@ -1,9 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,23 +29,7 @@ from chaoslab import (
     write_rows_json,
 )
 from chaoslab.economy import Cells
-
-
-@pytest.fixture
-def pool_from_one_chunk(monkeypatch):
-    """Let run_sweep start worker processes on one chunk of distinct mu; list the pools started."""
-    import concurrent.futures
-
-    started = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(chaoslab.sweep, "POOL_MIN_CHUNKS", 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    return started
+from chaoslab.gate import MuColumns
 
 
 def _config(**overrides):
@@ -171,36 +154,31 @@ class TestRunSweep:
         assert [r.in_class_g for r in rows] == [False, True, True]
         assert rows[0].odd_cycle_cf is None
 
-    def test_parallel_equals_serial(self, pool_from_one_chunk):
-        # 144 cells whose distinct mu fill one chunk of canonical cells
+    def test_parallel_equals_serial(self, monkeypatch):
+        # 144 cells whose distinct mu go to one array pass; the removed worker pool split them
+        # into chunks, and the pass must give each mu the columns it gets alone
         config = _config(lambda_spec=LambdaSpec(kind="window", count=24))
-        assert run_sweep(config, jobs=2) == run_sweep(config, jobs=1)
-        assert pool_from_one_chunk == [2]
+        rows = run_sweep(config)
+        assert len(rows) == 144
+        _classify_one_mu_at_a_time(monkeypatch)
+        assert run_sweep(config) == rows
 
-    def test_small_grid_with_jobs_stays_serial(self, src_env, tmp_path):
-        # fewer distinct mu than the pool threshold: no pool, not even its import; the 5,000
-        # window cells are more than the threshold, but share 198 mu
-        script = (
-            "import sys\n"
-            "from chaoslab import LambdaSpec, SweepConfig, run_sweep\n"
-            "config = SweepConfig(alpha_range=(0.6, 0.8, 3), beta_range=(0.4, 0.6, 2),\n"
-            "                     lambda_spec=LambdaSpec(kind='window', count=24))\n"
-            "assert len(run_sweep(config, jobs=2)) == 144\n"
-            "config = SweepConfig(alpha_range=(0.1, 0.9, 10), beta_range=(0.1, 0.9, 10),\n"
-            "                     lambda_spec=LambdaSpec(kind='window', count=50))\n"
-            "assert len(run_sweep(config, jobs=2)) == 5000\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
-        )
-        subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env, check=True)
-
-    def test_parallel_equals_serial_with_blank_cells(self, pool_from_one_chunk):
+    def test_parallel_equals_serial_with_blank_cells(self, monkeypatch):
         # 3 x 2 x 12 absolute lambdas, of which some fall outside each window
         config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
-        serial = run_sweep(config, jobs=1)
-        assert len(serial) >= 64
-        assert any(r.agree is None for r in serial) and any(r.agree for r in serial)
-        assert run_sweep(config, jobs=2) == serial
-        assert pool_from_one_chunk == [2]
+        rows = run_sweep(config)
+        assert len(rows) >= 64
+        assert any(r.agree is None for r in rows) and any(r.agree for r in rows)
+        _classify_one_mu_at_a_time(monkeypatch)
+        assert run_sweep(config) == rows
+
+    def test_only_one_job_is_accepted(self):
+        # sweeps run in one process; jobs stays a keyword for callers that pass jobs=1
+        config = _config(lambda_spec=LambdaSpec(kind="absolute", count=12, lo=0.2, hi=4.0))
+        assert run_sweep(config, jobs=1) == run_sweep(config)
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs must be 1"):
+                run_sweep(config, jobs=jobs)
 
     @pytest.mark.parametrize("kind", ["window", "absolute"])
     @pytest.mark.parametrize(
@@ -247,21 +225,15 @@ class TestCanonicalCells:
     """Sweeps classify each distinct mu once, on the cell (0.75, 0.5, mu), and scale by z."""
 
     def test_each_distinct_mu_is_classified_once(self, monkeypatch):
-        seen = {"pi_sets": 0, "gate_reports": 0}
-        for name in seen:
-            def spy(params, *args, _real=getattr(chaoslab.sweep, name), _name=name):
-                seen[_name] += len(params)
-                return _real(params, *args)
-
-            monkeypatch.setattr(chaoslab.sweep, name, spy)
+        calls = _spy_on_classify_mus(monkeypatch)
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.1, 0.9, 5),
                          lambda_spec=LambdaSpec(kind="window", count=10))
         rows = run_sweep(config)
         assert len(rows) == 250
         alpha, beta, lam = (np.array(v) for v in zip(*((r.alpha, r.beta, r.lam) for r in rows)))
-        distinct = len(np.unique(8.0 * lam * np.float_power(1.0 - alpha, 2.0) / beta))
-        assert distinct < 40
-        assert seen == {"pi_sets": distinct, "gate_reports": distinct}
+        distinct = np.unique(8.0 * lam * np.float_power(1.0 - alpha, 2.0) / beta).tolist()
+        assert len(distinct) < 40
+        assert calls == [distinct]
 
     def test_rows_match_the_raw_classifiers(self):
         for alpha, beta, lam in _off_band_cells(7, 40):
@@ -288,7 +260,7 @@ class TestCanonicalCells:
             cf = classify_closed_form(params)
             num = classify_numerical(params, interval) if Method.NUMERICAL in methods else None
             audit = num or cf
-            gate = gate_check(params, interval, chaoslab.sweep.SWEEP_GATE_GRID)
+            gate = gate_check(params, interval)
             assert row.in_class_g == gate.in_class_g
             assert (row.f2_of_m, row.f3_of_m, row.pi_max) == (
                 audit.f2_of_m, audit.f3_of_m, audit.pi_max
@@ -405,6 +377,7 @@ class TestArrayCells:
                 )
 
     def test_economy_params_are_built_per_distinct_mu_not_per_cell(self, monkeypatch):
+        # the array pass takes the distinct mu as floats; no cell builds an EconomyParams
         built = []
         real = EconomyParams.__post_init__
 
@@ -413,13 +386,42 @@ class TestArrayCells:
             real(self)
 
         monkeypatch.setattr(EconomyParams, "__post_init__", counted)
+        calls = _spy_on_classify_mus(monkeypatch)
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.1, 0.9, 5),
                          lambda_spec=LambdaSpec(kind="window", count=10))
         rows = run_sweep(config)
         assert len(rows) == 250
         distinct = {8.0 * r.lam * (1.0 - r.alpha) ** 2 / r.beta for r in rows}
-        assert len(built) == len(distinct) < 40
-        assert set(built) == distinct
+        assert built == []
+        assert len(calls) == 1 and calls[0] == sorted(distinct) and len(distinct) < 40
+
+
+def _classify_one_mu_at_a_time(monkeypatch) -> None:
+    """Make the sweep's array pass run on one mu per call and join the columns."""
+    real = chaoslab.sweep.classify_mus
+
+    def serial(mus, *args):
+        parts = [real(mus[i:i + 1], *args) for i in range(len(mus))] or [real(mus, *args)]
+        joined = []
+        for field in dataclasses.fields(MuColumns):
+            columns = [getattr(part, field.name) for part in parts]
+            joined.append(None if columns[0] is None else tuple(map(np.concatenate, zip(*columns))))
+        return MuColumns(*joined)
+
+    monkeypatch.setattr(chaoslab.sweep, "classify_mus", serial)
+
+
+def _spy_on_classify_mus(monkeypatch) -> list[list[float]]:
+    """Record the mu of every call of the sweep's array pass."""
+    calls = []
+    real = chaoslab.sweep.classify_mus
+
+    def spy(mus, *args):
+        calls.append(np.asarray(mus).tolist())
+        return real(mus, *args)
+
+    monkeypatch.setattr(chaoslab.sweep, "classify_mus", spy)
+    return calls
 
 
 def _fmt(value) -> str:

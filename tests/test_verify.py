@@ -22,6 +22,7 @@ from chaoslab.cli import main
 from chaoslab.verify import (
     VerifyResult,
     check_agreement,
+    check_factor_identity,
     check_low_period_oracle,
     check_raw_cells,
     format_report,
@@ -134,3 +135,12 @@ def test_agreement_counts_distinct_mu():
     assert result.mu_checked == len(np.unique(mu))
     assert 7 <= result.mu_checked < 112
     assert f"112 cells ({result.mu_checked} distinct mu) checked" in format_report(result)
+
+
+def test_factor_identity_shares_the_sign_of_the_direct_gap():
+    # direct and factored f^3(m) - z differ by float noise below 1e-12, so they
+    # have the same sign wherever the gap is larger than that
+    result = VerifyResult(grid_shape=(1, 1, 1))
+    check_factor_identity(result, random_window_params(seed=333, count=50))
+    assert result.factor_checks == 50
+    assert result.factor_max_err < 1e-12
