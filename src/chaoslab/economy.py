@@ -28,10 +28,15 @@ operates.  Two interior thresholds subdivide the window:
                    cycles (strictly above) and of a turbulent second
                    iterate (at or above).
 
+With the fixed point z = beta/(2*(1-alpha)) as price scale and
+mu = 8*lam*(1-alpha)**2/beta, f(p) = z*g(p/z) for the normal form
+g(x) = x + mu*(1/x - 1), with window 1 < mu < 4.  Every numerical route
+runs on g, with prices of order 1, and scales its results by z; the
+thresholds, the closed-form verdict, the raw gate and trajectories use f.
+
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.  The formulas behind thresholds, the trapping interval and
-the map itself also take a `Cells` chunk of parameter arrays, with the
-same arithmetic in the same order, so a cell of a chunk gets the bits it
+concurrently.  The normal form and the thresholds also take arrays, with
+the same arithmetic in the same order, so an element gets the bits it
 would get on its own.
 """
 
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,10 +108,9 @@ class EconomyParams:
 class Cells(NamedTuple):
     """A chunk of parameter cells: alpha, beta and lam as equal-shape float arrays.
 
-    Stands in for EconomyParams wherever a formula reads only those three
-    fields (`price_map`, `price_map_derivative`), evaluating it cell by
-    cell.  Build them with `checked`, or with `of` from EconomyParams; a
-    bare Cells(...) is not validated.
+    Stands in for EconomyParams in `normal_form` and `cell_thresholds`,
+    evaluating them cell by cell.  Build them with `checked`; a bare
+    Cells(...) is not validated.
     """
 
     alpha: np.ndarray
@@ -121,18 +125,6 @@ class Cells(NamedTuple):
         if not ok.all():
             EconomyParams(*(float(v[np.argmin(ok)]) for v in cells))
         return cells
-
-    @classmethod
-    def of(cls, params: Sequence[EconomyParams]) -> Cells:
-        return cls(
-            np.array([p.alpha for p in params], dtype=float),
-            np.array([p.beta for p in params], dtype=float),
-            np.array([p.lam for p in params], dtype=float),
-        )
-
-    def take(self, rows: np.ndarray) -> Cells:
-        """The cells at the given row indices (repeats allowed) or under a row mask, in order."""
-        return Cells(*(v[rows] for v in self))
 
 
 @dataclass(frozen=True)
@@ -164,9 +156,9 @@ class TrappingInterval:
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.m < self.b):
-            raise ValueError(
-                f"degenerate interval: need a < m < b, got a={self.a!r} m={self.m!r} b={self.b!r}"
+        if not 0.0 < self.a < self.m < self.b:
+            raise DomainError(
+                f"degenerate interval: need 0 < a < m < b, got a={self.a!r} m={self.m!r} b={self.b!r}"
             )
 
 
@@ -248,47 +240,54 @@ def trapping_interval(params: EconomyParams) -> TrappingInterval:
     Refuses (rather than clamps) when lam is at or outside the window
     bounds, since the interval degenerates there: f(m) = m at the lower
     bound, f(m) = 0 at the upper.  The error names the violated bound.
+    It is z times the interval of g, so lam*beta is never formed; a price
+    that rounds to 0, or onto its neighbour, raises DomainError.
     """
     require_window(params)
-    a, m, b = cell_intervals(params)
-    return TrappingInterval(a=float(a), m=float(m), b=float(b))
+    z, mu = normal_form(params)
+    return TrappingInterval(*(z * v for v in normal_interval(mu)))
 
 
-def cell_intervals(cells: Cells | EconomyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`trapping_interval` of every cell, as (a, m, b) arrays, for lam inside the window.
+def normal_form(params: EconomyParams | Cells) -> tuple:
+    """(z, mu) = (beta/(2*(1-alpha)), 8*lam*(1-alpha)**2/beta), so that f(p) = z*g(p/z).
 
-    Given one EconomyParams, the three are numpy scalars.  The window
-    itself is not checked here.  The first cell with a non-positive m or a
-    raises DomainError, as `step` would; the first degenerate one the
-    ValueError of TrappingInterval.
+    Floats for EconomyParams; for Cells, arrays with each cell's bits.
     """
-    a, m, b, proper = interval_arrays(cells)
-    if not proper.all():
-        i = np.argmin(proper)
-        a_i, m_i, b_i = (float(np.atleast_1d(v)[i]) for v in (a, m, b))
-        for p in (m_i, a_i):
-            if not p > 0.0:
-                raise DomainError(f"price must be positive, got {p!r}")
-        TrappingInterval(a=a_i, m=m_i, b=b_i)
-    return a, m, b
+    gap = 1.0 - params.alpha
+    # libm pow for floats and arrays alike, as in _threshold_values
+    square = gap ** 2 if isinstance(gap, float) else np.float_power(gap, 2.0)
+    return params.beta / (2.0 * gap), 8.0 * params.lam * square / params.beta
 
 
-def interval_arrays(cells: Cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, m, b, proper) as in `cell_intervals`, raising nothing; proper marks 0 < a < m < b."""
+def normal_map(mu) -> Callable:
+    """The normal form g(x) = x + mu*(1/x - 1), for floats and arrays broadcast against mu."""
+    return lambda x: x + mu * (1.0 / x - 1.0)
+
+
+def normal_interval(mu) -> tuple:
+    """(a, m, b) of g: m = sqrt(mu), a = g(m), b = g(a) + m, for lam inside the window.
+
+    Floats for a float mu, arrays for an array, with the same bits.
+    Unchecked: a mu that rounds onto a window edge gives a = m (mu = 1) or
+    a = 0 and b = inf (mu = 4), without warnings.
+    """
+    g = normal_map(mu)
+    if isinstance(mu, float):  # one cell: on arrays this costs a lone call three times more
+        m = math.sqrt(mu)
+        a = g(m)
+        return a, m, (g(a) if a else math.inf) + m
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.sqrt(2.0 * cells.lam * cells.beta)  # rounds as math.sqrt does
-        f = price_map(cells)
-        a = f(m)
-        b = f(a) + m
-    return a, m, b, (m > 0.0) & (a > 0.0) & (a < m) & (m < b)
+        m = np.sqrt(mu)  # rounds as math.sqrt does
+        a = g(m)
+        return a, m, g(a) + m
 
 
-def price_map(params: EconomyParams | Cells) -> Callable:
-    """The map f as a bare callable, valid for scalars and numpy arrays.
+def price_map(params: EconomyParams) -> Callable:
+    """The map f as a bare callable, valid for scalars and numpy arrays of prices.
 
     No positivity check is performed; intended for grid evaluation on
-    intervals already known to be positive.  For Cells, the result is
-    element-wise over p broadcast against the cell arrays.
+    intervals already known to be positive.  It takes one cell: arrays of
+    cells go through `normal_map`.
     """
     two_beta = 2.0 * params.beta
     c = 4.0 * (1.0 - params.alpha)
@@ -300,8 +299,8 @@ def price_map(params: EconomyParams | Cells) -> Callable:
     return f
 
 
-def price_map_derivative(params: EconomyParams | Cells) -> Callable:
-    """f'(p) = 1 - 2*lam*beta/p**2, for scalars and numpy arrays (and Cells, as price_map)."""
+def price_map_derivative(params: EconomyParams) -> Callable:
+    """f'(p) = 1 - 2*lam*beta/p**2 of one cell, for scalars and numpy arrays of prices."""
     two_lam_beta = 2.0 * params.lam * params.beta
 
     def df(p):

@@ -16,10 +16,10 @@ the period <= 2 points confined to the decreasing branch.  An odd-period
 cycle exists iff f^2(m) > m and f^3(m) > max(Pi); the second iterate is
 turbulent iff f^2(m) > m and f^3(m) >= min(Pi).
 
-Pi needs no search: with c = 4*(1-alpha), f(f(x)) - x factors as
--2*lam*(c*x - 2*beta)*q(x) / (x**2*f(x)), q(x) = x**2 - c*lam*x + beta*lam,
-so its candidates are the fixed point and the two roots of q
-(`period2_points`).
+Pi needs no search.  In the normal form g(x) = x + mu*(1/x - 1) of
+`economy`, g(g(x)) - x factors as -mu*(x - 1)*q(x) / (x**2*g(x)) with
+q(x) = x**2 - mu*x + mu/2, so its candidates are the fixed point 1 and the
+two roots of q (`period2_points`).
 
 Both tests are implemented twice and cross-checked: `classify_numerical`
 evaluates the criterion directly (iteration plus Pi from those
@@ -27,9 +27,10 @@ candidates), and `classify_closed_form` evaluates the equivalent
 lambda-threshold inequalities.  Agreement of the two on the whole parameter window is the
 package's central invariant and is exercised by the verify suite.
 
-The one-point functions run on Python floats.  `classify_mus` runs every
-step at once, as array expressions, on the canonical cells (0.75, 0.5, mu)
-that sweeps classify, and gives each cell the bits of the one-point route.
+Every numerical step runs on g: on floats for one cell, and as array
+expressions over many mu in `classify_mus`, which sweeps use.  Tolerances
+compare in units of z, and results are scaled by z.  Only `gate_check`,
+kept raw as a cross-check, and the closed-form verdict use the raw map.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ import numpy as np
 from .economy import (
     EPS_CMP,
     EPS_ROOT,
-    Cells,
     ConsistencyError,
     EconomyParams,
     TrappingInterval,
-    cell_intervals,
-    cell_thresholds,
     critical_point,
+    normal_form,
+    normal_interval,
+    normal_map,
     price_map,
     require_window,
     thresholds,
@@ -164,45 +165,53 @@ def gate_rule(fa, fb, a, m, b, eps_cmp):
     unimodal when a < m < b, and its maximum is max(f(a), f(b)), which may
     exceed b by an eps_cmp-scaled slack of float noise.  x - f(x) increases,
     so its minimum on [m, b) is m - a, which makes a < m the below-diagonal
-    condition.  margin is the smallest slack of the strict inequalities.
+    condition.  The expansion f(a) - a is taken in its exact form
+    (m - a)**2/a, since f(a) - a cancels to 0 or below next to mu = 1.
+    margin is the smallest slack of the strict inequalities.
     """
-    endpoints = (fa > a) & (fb < b)
+    expansion = (m - a) * ((m - a) / a)  # (m - a)**2/a, with no underflow at tiny prices
+    endpoints = (expansion > 0.0) & (fb < b)
     below_diagonal = a < m
     unimodal = below_diagonal & (m < b)
     self_map = np.maximum(fa, fb) <= b + eps_cmp * np.maximum(1.0, b)
-    margin = np.minimum(np.minimum(fa - a, b - fb), m - a)
+    margin = np.minimum(np.minimum(expansion, b - fb), m - a)
     in_class_g = endpoints & below_diagonal & unimodal & self_map
     return in_class_g, endpoints, below_diagonal, unimodal, self_map, margin
 
 
 def fixed_point(params: EconomyParams) -> float:
     """The unique fixed point z = beta / (2*(1 - alpha)) of the map on (0, inf)."""
-    return params.beta / (2.0 * (1.0 - params.alpha))
+    return normal_form(params)[0]
+
+
+def _pair_factor(mu):
+    """q(x) = x*(x - mu) + mu/2, the factor of g(g(x)) - x that holds the two-cycle."""
+    half = 0.5 * mu
+    return lambda x: x * (x - mu) + half
+
+
+def _normal_pair(mu: float) -> tuple[float, float] | None:
+    # q(1) = 1 - mu/2: the pair is born at mu = 2; for q(1) < 0, q > 0 at
+    # 1/2 (1/4) and at mu (mu/2), so [1/2, 1] and [1, mu] bracket one root each
+    q = _pair_factor(mu)
+    q1 = q(1.0)
+    if q1 > 0.0:
+        return None
+    if q1 == 0.0:
+        return 1.0, 1.0
+    return refine_root(q, 0.5, 1.0), refine_root(q, 1.0, mu)
 
 
 def period2_points(params: EconomyParams) -> tuple[float, float] | None:
     """The pair of two-cycle prices, ordered w1 <= w2, or None when no real pair exists.
 
-    The pair is the roots of q(x) = x**2 - c*lam*x + beta*lam, the factor
-    of f(f(x)) - x other than the fixed point z (module docstring).  It is
-    born at q(z) = 0 (mu = 2), returned as (z, z).  For q(z) < 0, q > 0 at
-    z/2 (beta**2/c**2) and at c*lam (beta*lam), so each of [z/2, z] and
-    [z, c*lam] brackets one root, which `refine_root` bisects.
+    The pair is z times the roots of q (module docstring), which
+    `refine_root` bisects in the normal form.  It is born at mu = 2,
+    returned as (z, z).
     """
-    c = 4.0 * (1.0 - params.alpha)
-    c_lam = c * params.lam
-    beta_lam = params.beta * params.lam
-
-    def q(x):
-        return x * (x - c_lam) + beta_lam
-
-    z = fixed_point(params)
-    qz = q(z)
-    if qz > 0.0:
-        return None
-    if qz == 0.0:
-        return z, z
-    return refine_root(q, 0.5 * z, z), refine_root(q, z, c_lam)
+    z, mu = normal_form(params)
+    pair = _normal_pair(mu)
+    return None if pair is None else (z * pair[0], z * pair[1])
 
 
 def pi_set(
@@ -213,29 +222,30 @@ def pi_set(
 ) -> PiSet:
     """Confined period <= 2 points on the decreasing branch [a, m].
 
-    By the factorization of f(f(x)) - x (module docstring), the fixed
+    By the factorization of g(g(x)) - x (module docstring), the fixed
     point and the two-cycle pair are its only roots, so they are the only
-    candidates.  Each must lie in [a, m], have its image in [a, m], and
-    satisfy the eps_root residual bound.  Duplicates merge within
-    10*eps_root.  The fixed point always qualifies inside the window, so
-    an empty result signals a numerics bug and raises.
+    candidates.  In units of z, each must lie in [a, m], have its image in
+    [a, m], and satisfy the eps_root residual bound.  Duplicates merge
+    within 10*eps_root.  The fixed point always qualifies inside the
+    window, so an empty result signals a numerics bug and raises.
     """
-    f = price_map(params)
-    lo, hi = interval.a - eps_root, interval.m + eps_root
+    z, mu = normal_form(params)
+    g = normal_map(mu)
+    lo, hi = interval.a / z - eps_root, interval.m / z + eps_root
     kept = [
-        x for x in sorted([fixed_point(params), *(period2_points(params) or ())])
-        if lo <= x <= hi and lo <= f(x) <= hi and abs(f(f(x)) - x) <= eps_root
+        x for x in sorted([1.0, *(_normal_pair(mu) or ())])
+        if lo <= x <= hi and lo <= g(x) <= hi and abs(g(g(x)) - x) <= eps_root
     ]
     merged = dedupe_sorted(kept, 10.0 * eps_root)
     if not merged:
-        raise _empty_pi_set(params)
-    return PiSet(points=tuple(merged))
+        raise _empty_pi_set(mu)
+    return PiSet(points=tuple(z * x for x in merged))
 
 
-def _empty_pi_set(params: EconomyParams) -> ConsistencyError:
+def _empty_pi_set(mu: float) -> ConsistencyError:
     return ConsistencyError(
         "no confined period <= 2 point found although the fixed point "
-        f"must qualify inside the window (params={params!r})"
+        f"must qualify inside the window (mu={mu!r})"
     )
 
 
@@ -245,34 +255,26 @@ def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> 
     odd_cycle holds strictly between lambda_chaos and lambda_max;
     turbulent_second_iterate from lambda_chaos (inclusive, up to eps_cmp)
     to lambda_max.  The f2/f3/pi fields are filled from the closed-form
-    expressions for audit; the verdicts depend only on the thresholds.
+    expressions in the normal form, scaled by z, for audit; the verdicts
+    depend only on the raw thresholds.
     """
     th = require_window(params)
-    m, pair = critical_point(params), period2_points(params)
-    f2m, f3m, pi_max, pi_min = _closed_form_audit(params, m, pair)
     odd_cycle, turbulent = closed_form_rule(params.lam, th.lambda_chaos, th.lambda_max, eps_cmp)
-    return ChaosVerdict(odd_cycle, turbulent, f2m, f3m, pi_max, pi_min, Method.CLOSED_FORM)
+    z, mu = normal_form(params)
+    g = normal_map(mu)
+    a, m, _ = normal_interval(mu)
+    f2m = g(a)
+    f3m = g(f2m)
+    pts = [1.0, *(w for w in _normal_pair(mu) or () if a <= w <= m and a <= g(w) <= m)]
+    return ChaosVerdict(
+        odd_cycle, turbulent, z * f2m, z * f3m, z * max(pts), z * min(pts), Method.CLOSED_FORM
+    )
 
 
 def closed_form_rule(lam, lambda_chaos, lambda_max, eps_cmp):
     """(odd_cycle, turbulent_second_iterate) by the thresholds, for floats or arrays alike."""
     below_max = lam < lambda_max
     return (lam > lambda_chaos + eps_cmp) & below_max, (lam >= lambda_chaos - eps_cmp) & below_max
-
-
-def _closed_form_audit(params, m, pair) -> tuple[float, float, float, float]:
-    # one cell, on Python floats: as arrays this costs a lone call three times more;
-    # classify_mus is the array form
-    f = price_map(params)
-    a = float(f(m))
-    f2m = float(f(a))
-    f3m = float(f(f2m))
-    pts = [fixed_point(params)]
-    if pair is not None:
-        for w in pair:
-            if a <= w <= m and a <= float(f(w)) <= m:
-                pts.append(w)
-    return f2m, f3m, max(pts), min(pts)
 
 
 def classify_numerical(
@@ -283,32 +285,24 @@ def classify_numerical(
     eps_root: float = EPS_ROOT,
     n_scan: int | None = None,
 ) -> ChaosVerdict:
-    """Direct evaluation of the two-condition criterion.
+    """Direct evaluation of the two-condition criterion, in units of z.
 
-    f^2(m) and f^3(m) come from iteration, the comparison set from
+    g^2(m) and g^3(m) come from iteration, the comparison set from
     `pi_set`.  Meaningful once `gate_check` accepts the interval.  Within
     eps_cmp of a threshold the verdict is unreliable (floating point
     cannot resolve equality); the verify suite excludes that band.
     n_scan is accepted and ignored: `pi_set` has no scan to size.
     """
     pi = pi_set(params, interval, eps_root=eps_root)
-    return _numerical_verdict(params, interval.m, pi, eps_cmp)
-
-
-def _numerical_verdict(params, m, pi, eps_cmp) -> ChaosVerdict:
-    # one cell, on Python floats, as _closed_form_audit
-    f = price_map(params)
-    f2m = float(f(f(m)))
-    f3m = float(f(f2m))
+    z, mu = normal_form(params)
+    g = normal_map(mu)
+    m = interval.m / z
+    f2m = g(g(m))
+    f3m = g(f2m)
     expands = f2m > m + eps_cmp
     return ChaosVerdict(
-        odd_cycle=expands and f3m > pi.high + eps_cmp,
-        turbulent_second_iterate=expands and f3m >= pi.low - eps_cmp,
-        f2_of_m=f2m,
-        f3_of_m=f3m,
-        pi_max=pi.high,
-        pi_min=pi.low,
-        method=Method.NUMERICAL,
+        expands and f3m > pi.high / z + eps_cmp, expands and f3m >= pi.low / z - eps_cmp,
+        z * f2m, z * f3m, pi.high, pi.low, Method.NUMERICAL,
     )
 
 
@@ -328,47 +322,44 @@ class MuColumns:
 
 
 def classify_mus(mus, methods, eps_cmp: float = EPS_CMP, eps_root: float = EPS_ROOT) -> MuColumns:
-    """`gate_check`, `period2_points` and the classifiers of the cells (0.75, 0.5, mu), as columns.
+    """`gate_check`, `period2_points` and the classifiers in the normal form of each mu, as columns.
 
     Each mu must lie strictly inside the window (1, 4) with a proper
-    interval.  There 2*beta = 4*(1-alpha) = 1, so the map is
-    g(x) = x + mu*(1/x - 1) with fixed point 1, and q(x) = x*(x - mu) + mu/2.
-    Element i equals the one-point result at lam = mus[i] bit for bit: the
-    same float operations run elementwise, the pair comes from one
-    `bisect_brackets` call, and the Pi filter of `pi_set` is a set of masks
-    over the sorted candidates w1 <= 1 <= w2.  The first cell with an empty
-    Pi set raises the ConsistencyError of `pi_set`.
+    interval.  Element i equals the one-point result at (0.75, 0.5, mus[i]),
+    where z = 1 and the raw map is g, bit for bit: the same float
+    operations run elementwise, the canonical thresholds there are
+    exactly 25/9 and 4, the pair comes from one `bisect_brackets` call,
+    and the Pi filter of `pi_set` is a set of masks over the sorted
+    candidates w1 <= 1 <= w2.  The first mu with an empty Pi set raises
+    the ConsistencyError of `pi_set`.
     """
     mu = np.asarray(mus, dtype=float)
-    cells = Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu)
-    f = price_map(cells)
-    a, m, b = cell_intervals(cells)
-    f2m = f(a)
-    f3m = f(f2m)
-    w1, w2 = _canonical_pairs(mu)
+    g = normal_map(mu)
+    a, m, b = normal_interval(mu)
+    f2m = g(a)
+    f3m = g(f2m)
+    w1, w2 = _normal_pairs(mu)
     closed_form = numerical = None
+
+    def confined(x, lo, hi):  # x and g(x) in [lo, hi]
+        gx = g(x)
+        return (lo <= x) & (x <= hi) & (lo <= gx) & (gx <= hi)
+
     if Method.CLOSED_FORM in methods:
-        th = cell_thresholds(cells)
-
-        def confined(w):
-            fw = f(w)
-            return (a <= w) & (w <= m) & (a <= fw) & (fw <= m)
-
         closed_form = (
-            *closed_form_rule(mu, th[2], th[3], eps_cmp), f2m, f3m,
-            np.where(confined(w2), w2, 1.0), np.where(confined(w1), w1, 1.0),
+            *closed_form_rule(mu, 25 / 9, 4.0, eps_cmp), f2m, f3m,
+            np.where(confined(w2, a, m), w2, 1.0), np.where(confined(w1, a, m), w1, 1.0),
         )
     if Method.NUMERICAL in methods:
         lo, hi = a - eps_root, m + eps_root
 
         def kept(x):
-            fx = f(x)
-            return (lo <= x) & (x <= hi) & (lo <= fx) & (fx <= hi) & (np.abs(f(fx) - x) <= eps_root)
+            return confined(x, lo, hi) & (np.abs(g(g(x)) - x) <= eps_root)
 
         k1, k2, k3 = kept(w1), kept(np.ones_like(mu)), kept(w2)
         empty = ~(k1 | k2 | k3)
         if empty.any():
-            raise _empty_pi_set(EconomyParams(alpha=0.75, beta=0.5, lam=mu[np.argmax(empty)]))
+            raise _empty_pi_set(mu[np.argmax(empty)].item())
         # dedupe_sorted: a point within 10*eps_root of the last one kept merges into it
         tol = 10.0 * eps_root
         d2 = k2 & ~(k1 & (1.0 - w1 <= tol))
@@ -380,17 +371,13 @@ def classify_mus(mus, methods, eps_cmp: float = EPS_CMP, eps_root: float = EPS_R
             expands & (f3m > pi_max + eps_cmp), expands & (f3m >= pi_min - eps_cmp),
             f2m, f3m, pi_max, pi_min,
         )
-    gate = gate_rule(f(a), f(b), a, m, b, eps_cmp)
+    gate = gate_rule(g(a), g(b), a, m, b, eps_cmp)
     return MuColumns(gate, (w1, w2), closed_form, numerical)
 
 
-def _canonical_pairs(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`period2_points` of the cells (0.75, 0.5, mu) as two columns, nan where there is none."""
-    def q_of(mu):
-        half = 0.5 * mu
-        return lambda x: x * (x - mu) + half
-
-    q1 = q_of(mu)(1.0)
+def _normal_pairs(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`period2_points` in the normal form of each mu, as two columns; nan where there is none."""
+    q1 = _pair_factor(mu)(1.0)
     w1 = np.where(q1 == 0.0, 1.0, np.nan)
     w2 = w1.copy()
     cross = np.flatnonzero(q1 < 0.0)
@@ -400,8 +387,8 @@ def _canonical_pairs(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate([np.full(n, 0.5), np.ones(n)]),
         np.concatenate([np.ones(n), mu[cross]]),
         np.concatenate([cross, cross]),
-        lambda i: q_of(mus[i]),
-        lambda owner: q_of(mu[owner]),
+        lambda i: _pair_factor(mus[i]),
+        lambda owner: _pair_factor(mu[owner]),
     )
     w1[cross], w2[cross] = roots[:n], roots[n:]
     return w1, w2

@@ -8,10 +8,13 @@ critical point, into pieces where f^n is monotone, and brackets of
 f^n(x) - x are taken from those pieces.  The three-cycle is the period-3
 row of that scan; the turbulence witness starts from the roots of its
 period-2 row and finds preimages under f^2 one lap of f^2 at a time.
-Searches run in a fixed order; identical inputs give bit-identical
-outputs.  An empty result means "not found within the scan and period
-bound", never "does not exist" -- callers that emit results are expected
-to attach the search bounds.
+Every search runs on the normal form g(x) = x + mu*(1/x - 1) of
+`economy`, on the interval [a/z, b/z], and scales the points it reports
+by the fixed point z.  So eps_root and every residual are in units of z,
+that is, relative to the price scale.  Searches run in a fixed order;
+identical inputs give bit-identical outputs.  An empty result means "not
+found within the scan and period bound", never "does not exist" --
+callers that emit results are expected to attach the search bounds.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import numpy as np
 
 from .economy import (
     EPS_ROOT,
-    Cells,
     DomainError,
     EconomyParams,
     TrappingInterval,
-    price_map,
+    normal_form,
+    normal_map,
     step,
 )
 from .rootfind import bisect_brackets, scan_roots
@@ -52,7 +55,7 @@ class Orbit:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A cycle of minimal period `period`; points start at the smallest price."""
+    """A cycle of minimal period `period`, from its smallest price; residual in units of z."""
 
     period: int
     points: tuple[float, ...]
@@ -65,7 +68,7 @@ class TurbulenceWitness:
 
     g(x1) = x1, g(x2) = x1 with x2 != x1, g(x3) = x2 with x3 strictly
     between x1 and x2; residuals are the three defect magnitudes in that
-    order.
+    order, in units of z.
     """
 
     x1: float
@@ -103,34 +106,39 @@ def _iterate_array(f, xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
-def _lap_ends(
-    cells: Cells, a: np.ndarray, b: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ends of the laps of f^n on each cell's [a, b], as (owner, points).
+def _normal_cells(params, intervals) -> tuple[np.ndarray, ...]:
+    """(z, mu, a/z, b/z) of each cell: its scale, its map g and its interval in the normal form."""
+    z, mu = np.array([normal_form(p) for p in params], dtype=float).reshape(-1, 2).T
+    a, b = np.array([(iv.a, iv.b) for iv in intervals], dtype=float).reshape(-1, 2).T / z
+    return z, mu, a, b
 
-    The turning points of f^n are the critical point m = sqrt(2*lam*beta)
-    and its preimages f^-k(m) for k < n.  Starting from m, each level is
-    the previous one pulled back through both inverse branches
-    p = (s +/- sqrt(s^2 - 8*lam*beta))/2, s = y + 4*lam*(1-alpha), keeping
-    the preimages strictly inside (a, b); a point outside [a, b] has no
-    preimage inside it.  Points come grouped by cell, ascending within it,
-    with a and b added and repeats dropped.
+
+def _lap_ends(mu: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the laps of g^n on each cell's [a, b], as (owner, points).
+
+    The turning points of g^n are the critical point m = sqrt(mu) and its
+    preimages g^-k(m) for k < n.  Starting from m, each level is the
+    previous one pulled back through both inverse branches
+    x = (s +/- sqrt(s^2 - 4*mu))/2, s = y + mu, keeping the preimages
+    strictly inside (a, b); a point outside [a, b] has no preimage inside
+    it.  Points come grouped by cell, ascending within it, with a and b
+    added and repeats dropped.
     """
     owner = np.arange(a.size)
-    level = np.sqrt(2.0 * cells.lam * cells.beta)
+    level = np.sqrt(mu)
     inside = (level > a) & (level < b)
     owner, level = owner[inside], level[inside]
     found_owner, found = [np.arange(a.size), owner, np.arange(a.size)], [a, level, b]
     for _ in range(1, n):
-        lam, beta = cells.lam[owner], cells.beta[owner]
-        s = level + 4.0 * lam * (1.0 - cells.alpha[owner])
+        mu_k = mu[owner]
+        s = level + mu_k
         with np.errstate(invalid="ignore"):
-            right = 0.5 * (s + np.sqrt(s * s - 8.0 * lam * beta))
-        # the product of the two branches is 2*lam*beta; this avoids cancellation
-        left = 2.0 * lam * beta / right
+            right = 0.5 * (s + np.sqrt(s * s - 4.0 * mu_k))
+        # the product of the two branches is mu; this avoids cancellation
+        left = mu_k / right
         owner = np.concatenate([owner, owner])
         level = np.concatenate([left, right])
-        inside = (level > a[owner]) & (level < b[owner])  # false where s^2 < 8*lam*beta
+        inside = (level > a[owner]) & (level < b[owner])  # false where s^2 < 4*mu
         owner, level = owner[inside], level[inside]
         found_owner.append(owner)
         found.append(level)
@@ -147,19 +155,15 @@ def _sorted_distinct(owner: np.ndarray, points: np.ndarray) -> tuple[np.ndarray,
 
 
 def _cycle_roots(
-    params: Sequence[EconomyParams],
-    intervals: Sequence[TrappingInterval],
-    cells: Cells,
-    n: int,
-    n_points: int,
+    mu: np.ndarray, a: np.ndarray, b: np.ndarray, n: int, n_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of f^n(x) - x on each cell's [a, b], as (owner, roots).
+    """Roots of g^n(x) - x on each cell's [a, b], as (owner, roots).
 
-    [a, b] is cut into the laps of f^n, where f^n is monotone.  On a
-    decreasing lap f^n(x) - x is strictly decreasing, so the lap is a
+    [a, b] is cut into the laps of g^n, where g^n is monotone.  On a
+    decreasing lap g^n(x) - x is strictly decreasing, so the lap is a
     bracket exactly when its end values differ in sign.  An increasing lap
-    is halved breadth-first: f^n maps a piece [u, v] onto [f^n(u), f^n(v)],
-    so a piece with f^n(u) > v or f^n(v) < u holds no root and is dropped;
+    is halved breadth-first: g^n maps a piece [u, v] onto [g^n(u), g^n(v)],
+    so a piece with g^n(u) > v or g^n(v) < u holds no root and is dropped;
     the rest are halved until no wider than (b - a)/(n_points - 1), the
     spacing of an n_points grid, and become brackets where their end
     values differ in sign.  An end value that is exactly zero is a
@@ -167,14 +171,12 @@ def _cycle_roots(
     once, each under the map of its own cell, and the brackets are
     bisected together.  Roots come grouped by cell, ascending within it.
     """
-    a = np.array([iv.a for iv in intervals], dtype=float)
-    b = np.array([iv.b for iv in intervals], dtype=float)
     width = (b - a) / max(n_points - 1, 1)
 
     def fn(rows, xs):
-        return _iterate_array(price_map(cells.take(rows)), xs, n)
+        return _iterate_array(normal_map(mu[rows]), xs, n)
 
-    ends_owner, ends = _lap_ends(cells, a, b, n)
+    ends_owner, ends = _lap_ends(mu, a, b, n)
     f_ends = fn(ends_owner, ends)
     lap = np.nonzero(ends_owner[1:] == ends_owner[:-1])[0]
     laps = (ends_owner[lap], ends[lap], ends[lap + 1], f_ends[lap], f_ends[lap + 1])
@@ -208,53 +210,48 @@ def _cycle_roots(
     order = np.lexsort((los, owner))
     owner, los, his = owner[order], los[order], his[order]
 
-    def cycle_func(f):
-        return lambda x: _iterate_array(f, x, n) - x
+    def cycle_func(g):
+        return lambda x: _iterate_array(g, x, n) - x
 
+    mus = mu.tolist()
     roots = bisect_brackets(
-        los, his, owner, lambda i: cycle_func(price_map(params[i])),
-        lambda rows: cycle_func(price_map(cells.take(rows))),
+        los, his, owner, lambda i: cycle_func(normal_map(mus[i])),
+        lambda rows: cycle_func(normal_map(mu[rows])),
     )
     order = np.lexsort((roots, owner))
     return owner[order], roots[order]
 
 
-def _minimal_period_rows(
-    params: Sequence[EconomyParams],
-    intervals: Sequence[TrappingInterval],
-    n: int,
-    n_points: int,
-    eps_root: float,
-) -> list[list[PeriodicOrbit]]:
-    """Canonical minimal-period-n orbits of every cell, from the lap scan of f^n.
+def _minimal_period_rows(z, mu, a, b, n, n_points, eps_root) -> list[list[PeriodicOrbit]]:
+    """Canonical minimal-period-n orbits of every cell, from the lap scan of g^n.
 
     Every point of an orbit is a root of the scan; an orbit is kept once,
     from the root that is its smallest price, so its points start there.
     Each cell's list is sorted by that price, and an orbit matching the
     one before it within 10*eps_root is dropped.  Every step runs once
     over the pieces or roots of all cells, element by element with each
-    one's own parameters, so a cell gets the bits it would get on its own.
+    one's own mu, so a cell gets the bits it would get on its own.  The
+    points are scaled by z; residuals stay in units of z.
     """
-    cells = Cells.of(params)
-    owner, roots = _cycle_roots(params, intervals, cells, n, n_points)
+    owner, roots = _cycle_roots(mu, a, b, n, n_points)
     # points of shorter period are rediscovered by every multiple: drop any
     # root a proper divisor already explains at the full residual tolerance,
     # so an assigned period is minimal under the same bound that certifies it
-    f = price_map(cells.take(owner))
+    g = normal_map(mu[owner])
     keep = np.ones(roots.size, dtype=bool)
     y = roots
     for d in range(1, n):
-        y = f(y)
+        y = g(y)
         if n % d == 0:
             keep &= np.abs(y - roots) > eps_root
     owner, roots = owner[keep], roots[keep]
-    f = price_map(cells.take(owner))
+    g = normal_map(mu[owner])
 
     mat = np.empty((roots.size, n))
     mat[:, 0] = roots
     for j in range(1, n):
-        mat[:, j] = f(mat[:, j - 1])
-    residual = np.abs(f(mat[:, -1]) - mat[:, 0])
+        mat[:, j] = g(mat[:, j - 1])
+    residual = np.abs(g(mat[:, -1]) - mat[:, 0])
     keep = (residual <= eps_root) & (np.argmin(mat, axis=1) == 0)
     owner, mat, residual = owner[keep], mat[keep], residual[keep]
     # roots come sorted by cell, then price, so a repeat of an orbit follows it
@@ -262,8 +259,9 @@ def _minimal_period_rows(
     fresh[1:] = (owner[1:] != owner[:-1]) | (
         np.max(np.abs(np.diff(mat, axis=0)), axis=1) > 10.0 * eps_root
     )
-    out: list[list[PeriodicOrbit]] = [[] for _ in params]
-    for i, row, res in zip(owner[fresh].tolist(), mat[fresh].tolist(), residual[fresh].tolist()):
+    owner, mat = owner[fresh], mat[fresh] * z[owner[fresh], None]
+    out: list[list[PeriodicOrbit]] = [[] for _ in z]
+    for i, row, res in zip(owner.tolist(), mat.tolist(), residual[fresh].tolist()):
         out[i].append(PeriodicOrbit(period=n, points=tuple(row), residual=res))
     return out
 
@@ -290,9 +288,10 @@ def periodic_orbit_lists(
     are never merged, even for equal cells.
     """
     _check_max_period(max_period)
+    cells = _normal_cells(params, intervals)
     out: list[list[PeriodicOrbit]] = [[] for _ in params]
     for n in range(1, max_period + 1):
-        lists = _minimal_period_rows(params, intervals, n, grid_base * n, eps_root)
+        lists = _minimal_period_rows(*cells, n, grid_base * n, eps_root)
         for acc, orbits in zip(out, lists):
             acc.extend(orbits)
     return out
@@ -321,8 +320,9 @@ def find_periodic_orbits(
     divisor d of n meets the eps_root residual bound, which keeps assigned
     periods minimal and avoids phantom cycles at period-doubling parameters.
     Each orbit is reported once, from the root that is its smallest price,
-    with its residual |f^n(x0) - x0| at that root; an orbit matching the one
-    before it within 10*eps_root is dropped.  Orbits are returned sorted by
+    with its residual |g^n(x0/z) - x0/z| at that root (eps_root and the
+    residuals are in units of z; module docstring); an orbit matching the
+    one before it within 10*eps_root is dropped.  Orbits are returned sorted by
     (period, smallest price).  Only roots meeting the eps_root residual
     bound are kept, so ill-conditioned high-period cycles may be dropped,
     as may a cycle whose smallest point the scan misses: an empty or short
@@ -356,13 +356,14 @@ def find_odd_cycle(
     returned.  The minimality filter for period n only consults divisors of
     n, all odd, so skipping the even periods changes no answer, and
     max_period is an upper bound on the scan, not a period that is always
-    reached.  At a quiet point each f^n has a few laps, most of them
+    reached.  At a quiet point each g^n has a few laps, most of them
     dropped whole.  None means no such orbit was located within the
     scanned laps -- not a proof of non-existence.
     """
     _check_max_period(max_period)
+    cells = _normal_cells([params], [interval])
     for n in range(3, max_period + 1, 2):
-        (orbits,) = _minimal_period_rows([params], [interval], n, grid_base * n, eps_root)
+        (orbits,) = _minimal_period_rows(*cells, n, grid_base * n, eps_root)
         if orbits:
             return orbits[0]
     return None
@@ -384,16 +385,17 @@ def find_turbulence_witness(
     and x2.  g - c is monotone on each lap of g, so the preimages of c are
     found with one bracket per lap whose end values differ in sign, the
     laps clipped to the x1..x2 span for x3.  Returns None when every
-    combination fails.
+    combination fails.  The search runs in the normal form.
     """
-    f = price_map(params)
+    cells = _normal_cells([params], [interval])
+    z, mu = (v.item() for v in cells[:2])
+    f = normal_map(mu)
 
     def g(x):
         return f(f(x))
 
-    cells = Cells.of([params])
-    _, fixed = _cycle_roots([params], [interval], cells, 2, 2 * grid_base)
-    _, laps = _lap_ends(cells, np.array([interval.a]), np.array([interval.b]), 2)
+    _, fixed = _cycle_roots(*cells[1:], 2, 2 * grid_base)
+    _, laps = _lap_ends(*cells[1:], 2)
     for x1 in fixed.tolist():
         pre = scan_roots(lambda x: g(x) - x1, laps)
         candidates = [x2 for x2 in pre if abs(x2 - x1) > 10.0 * eps_root]
@@ -403,13 +405,9 @@ def find_turbulence_witness(
             cuts = [lo, *laps[(laps > lo) & (laps < hi)].tolist(), hi]
             for x3 in scan_roots(lambda x: g(x) - x2, cuts):
                 if lo < x3 < hi:
-                    residuals = (
-                        abs(float(g(x1)) - x1),
-                        abs(float(g(x2)) - x1),
-                        abs(float(g(x3)) - x2),
-                    )
+                    residuals = tuple(abs(float(g(x)) - y) for x, y in ((x1, x1), (x2, x1), (x3, x2)))
                     if max(residuals) <= eps_root:
-                        return TurbulenceWitness(x1=x1, x2=x2, x3=x3, residuals=residuals)
+                        return TurbulenceWitness(z * x1, z * x2, z * x3, residuals)
     return None
 
 
@@ -429,5 +427,6 @@ def search_period3(
     is not settled, so both outcomes are acceptable and nothing beyond the
     residual bound is asserted about the result.
     """
-    (orbits,) = _minimal_period_rows([params], [interval], 3, 3 * grid_base, eps_root)
+    cells = _normal_cells([params], [interval])
+    (orbits,) = _minimal_period_rows(*cells, 3, 3 * grid_base, eps_root)
     return orbits[0] if orbits else None

@@ -9,23 +9,19 @@ wasting grid on inadmissible speeds.  Cells outside the window keep their
 threshold columns but leave every verdict column blank -- blank, not
 false -- so downstream plots stay honest.
 
-The criterion depends on a cell only through mu = 8*lam*(1-alpha)^2/beta.
-With z = beta/(2*(1-alpha)), the fixed point, f(p) = z*g(p/z) for
-g(x) = x + mu*(1/x - 1), which is the price map of the canonical cell
-(0.75, 0.5, mu): there 2*beta = 1 and 4*(1-alpha) = 1 exactly, so the map
-code evaluates g bit for bit.  A sweep therefore classifies each distinct
-mu of its in-window cells once, on the canonical cell, in one
-`classify_mus` pass over all of them: gate, intervals, Pi set and
-numerical verdicts as array expressions.  Each row takes in_class_g and
-the numerical verdicts from its canonical cell, and z times the canonical
-f2_of_m, f3_of_m and pi_max.  The closed-form verdicts come from the row's
-own thresholds, so the two routes stay independent.  Everything per cell
-is a column: the cells are arrays built from the axes and checked in one
-pass, the per-mu results are gathered to them by index and scaled by z as
-arrays, and the rows and the CSV text are made column by column.  Every
-row is bit for bit the row its cell gets on its own (`evaluate_cell` is a
-one-cell sweep).  A cell whose float mu rounds onto a window edge has no
-proper canonical interval; its row is blank, as outside the window.
+The criterion depends on a cell only through mu, the parameter of its
+normal form g (`economy.normal_form`).  A sweep therefore classifies each
+distinct mu of its in-window cells once, in one `classify_mus` pass over
+all of them: gate, intervals, Pi set and numerical verdicts of g as array
+expressions.  Each row takes in_class_g and the numerical verdicts from
+its mu, and z times g's f2_of_m, f3_of_m and pi_max.  The closed-form
+verdicts come from the row's own thresholds, so the two routes stay
+independent.  Everything per cell is a column: the cells are arrays built
+from the axes and checked in one pass, the per-mu results are gathered to
+them by index and scaled by z as arrays, and the rows and the CSV text are
+made column by column.  Every row is bit for bit the row its cell gets on
+its own (`evaluate_cell` is a one-cell sweep).  A cell whose float mu
+rounds onto a window edge has no proper interval of g and a blank row.
 """
 
 from __future__ import annotations
@@ -43,14 +39,14 @@ from .economy import (
     EPS_ROOT,
     Cells,
     cell_thresholds,
-    interval_arrays,
+    normal_form,
+    normal_interval,
 )
 from .gate import (
     Method,
     classify_mus,
     classify_numerical,  # unused; bench/test_oracle.py checks the traced run swaps it here
     closed_form_rule,
-    fixed_point,
 )
 
 #: CSV columns and JSON keys, in order: the SweepRow fields, with lam written as lambda
@@ -180,35 +176,34 @@ def _cells(config: SweepConfig) -> Cells:
 
 
 def mu_of(cells: Cells) -> np.ndarray:
-    """mu = 8*lam*(1-alpha)^2/beta of every cell: its canonical cell is (0.75, 0.5, mu)."""
-    return 8.0 * cells.lam * np.float_power(1.0 - cells.alpha, 2.0) / cells.beta
+    """mu = 8*lam*(1-alpha)^2/beta of every cell, as `normal_form` gives it."""
+    return normal_form(cells)[1]
 
 
 def _eval_cells(cells: Cells, methods, eps_cmp, eps_root):
-    """Rows for the cells, in order, each distinct mu classified once on its canonical cell.
+    """Rows for the cells, in order, each distinct mu classified once in the normal form.
 
     Raises the ValueError of EconomyParams for the first invalid cell.
     """
     raw = Cells.checked(*cells)
     th = cell_thresholds(raw)
     # array expressions over all cells give a cell the bits it gets alone
-    z = fixed_point(raw)
-    mu = mu_of(raw)
-    # a cell whose float mu rounds onto a window edge has no proper canonical interval
-    proper = interval_arrays(Cells(np.full_like(mu, 0.75), np.full_like(mu, 0.5), mu))[3]
-    inside = (th[0] < raw.lam) & (raw.lam < th[3]) & proper
-    mus, canonical_of = np.unique(mu[inside], return_inverse=True)
+    z, mu = normal_form(raw)
+    # a cell whose float mu rounds onto a window edge has no proper interval of g
+    a, m, b = normal_interval(mu)
+    inside = (th[0] < raw.lam) & (raw.lam < th[3]) & (0.0 < a) & (a < m) & (m < b)
+    mus, mu_index = np.unique(mu[inside], return_inverse=True)
     per_mu = classify_mus(mus, methods, eps_cmp, eps_root)
     # gather the per-mu columns to the inside cells; the audit floats are f2_of_m,
     # f3_of_m and pi_max: the numerical verdict's, or the closed form's when only it runs
     in_class_g = np.zeros(len(mu), dtype=bool)
-    in_class_g[inside] = per_mu.gate[0][canonical_of]
-    audits = [z[inside] * v[canonical_of] for v in (per_mu.numerical or per_mu.closed_form)[2:5]]
+    in_class_g[inside] = per_mu.gate[0][mu_index]
+    audits = [z[inside] * v[mu_index] for v in (per_mu.numerical or per_mu.closed_form)[2:5]]
     cf = num = (None, None)
     if Method.CLOSED_FORM in methods:
         cf = [v[inside] for v in closed_form_rule(raw.lam, th[2], th[3], eps_cmp)]
     if Method.NUMERICAL in methods:
-        num = [v[canonical_of] for v in per_mu.numerical[:2]]
+        num = [v[mu_index] for v in per_mu.numerical[:2]]
     agree = None if cf[0] is None or num[0] is None else (cf[0] == num[0]) & (cf[1] == num[1])
     columns = [v.tolist() for v in (*raw, *th, in_class_g)]
     # None blanks the cells outside, and every cell of a method not run

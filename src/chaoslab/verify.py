@@ -126,10 +126,10 @@ def check_agreement(
     The grid is a window-relative sweep over [0.05, 0.95]^2; its cells
     outside the onset band are classified by the sweep's code.  That code
     runs the numerical route once per distinct mu = 8*lam*(1-alpha)^2/beta,
-    on the canonical cell (0.75, 0.5, mu), whose map is exactly the normal
-    form g(x) = x + mu*(1/x - 1) of every cell with that mu (f(p) = z*g(p/z)
-    at the fixed point z).  The closed-form verdicts still come from each
-    cell's own thresholds, so agreement still compares two routes.
+    on the normal form g(x) = x + mu*(1/x - 1) of every cell with that mu
+    (f(p) = z*g(p/z) at the fixed point z).  The closed-form verdicts still
+    come from each cell's own thresholds, so agreement still compares two
+    routes.
     """
     config = SweepConfig(
         alpha_range=(0.05, 0.95, alpha_count),
@@ -138,7 +138,7 @@ def check_agreement(
     )
     cells = _cells(config)
     lambda_chaos = cell_thresholds(cells)[2]
-    kept = cells.take(~(np.abs(cells.lam - lambda_chaos) <= eps_band * lambda_chaos))
+    kept = cells._make(v[~(np.abs(cells.lam - lambda_chaos) <= eps_band * lambda_chaos)] for v in cells)
     result.cells_skipped_band += len(cells.lam) - len(kept.lam)
     rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root)
     result.cells_checked += len(rows)
@@ -168,7 +168,7 @@ def check_raw_cells(
 ) -> None:
     """The gate and both verdicts of `classify` on each raw triple off the lambda_chaos band.
 
-    The grid runs the numerical route on canonical cells only.
+    The raw gate cross-checks the normal form; the grid classifies per mu only.
     """
     for params in triples:
         lambda_chaos = thresholds(params).lambda_chaos

@@ -18,7 +18,8 @@ from chaoslab import (
     thresholds,
     trapping_interval,
 )
-from chaoslab.economy import Cells, cell_intervals, cell_thresholds
+from chaoslab.economy import Cells, cell_thresholds, normal_form, normal_interval, normal_map
+from chaoslab.sweep import mu_of
 
 from conftest import exact_orbit, exact_thresholds, random_window_params
 
@@ -227,7 +228,7 @@ class TestMapShape:
 
 
 class TestCellArrays:
-    """Chunk forms against the scalar functions and the formulas as written."""
+    """Array forms against the scalar functions and the formulas as written."""
 
     @staticmethod
     def cells(count):
@@ -240,9 +241,13 @@ class TestCellArrays:
             out.append(EconomyParams(alpha=alpha, beta=beta, lam=lam))
         return out
 
+    @staticmethod
+    def arrays(params) -> Cells:
+        return Cells.checked(*zip(*((p.alpha, p.beta, p.lam) for p in params)))
+
     def test_thresholds_match_written_formula_bit_for_bit(self):
         params = self.cells(3000)
-        got = [t.tolist() for t in cell_thresholds(Cells.of(params))]
+        got = [t.tolist() for t in cell_thresholds(self.arrays(params))]
         squares_differ = 0
         for i, p in enumerate(params):
             # float ** 2 is libm pow; an array's ** 2 squares, which differs now and then
@@ -255,20 +260,47 @@ class TestCellArrays:
             assert tuple(t[i] for t in got) == want
         assert squares_differ > 0
 
-    def test_intervals_match_step_bit_for_bit(self):
-        params = self.cells(500)
-        a, m, b = (v.tolist() for v in cell_intervals(Cells.of(params)))
+    def test_normal_form_gives_the_bits_of_mu_of(self):
+        params = self.cells(3000)
+        cells = self.arrays(params)
+        z, mu = (v.tolist() for v in normal_form(cells))
+        assert mu == mu_of(cells).tolist()
         for i, p in enumerate(params):
+            gap = 1.0 - p.alpha
+            want = (p.beta / (2.0 * gap), 8.0 * p.lam * np.float_power(gap, 2.0) / p.beta)
+            assert normal_form(p) == want == (z[i], mu[i])
+            assert all(type(v) is float for v in normal_form(p))
+
+    def test_normal_map_is_the_canonical_price_map(self):
+        xs = np.linspace(0.1, 20.0, 101)
+        for mu in (1.5, 2.0, 25 / 9, 3.61, 3.999):
+            canonical = EconomyParams(alpha=0.75, beta=0.5, lam=mu)
+            assert normal_map(mu)(xs).tobytes() == np.array([step(canonical, x) for x in xs]).tobytes()
+
+    def test_intervals_are_z_times_the_normal_interval(self):
+        params = self.cells(500)
+        z, mu = normal_form(self.arrays(params))
+        a, m, b = (v.tolist() for v in normal_interval(mu))
+        for i, p in enumerate(params):
+            iv = trapping_interval(p)
+            assert (iv.a, iv.m, iv.b) == (z[i] * a[i], z[i] * m[i], z[i] * b[i])
+            assert normal_interval(normal_form(p)[1]) == (a[i], m[i], b[i])
+            # the raw formula, f(m) and f(f(m)) + m at m = sqrt(2*lam*beta), to rounding
             m_p = math.sqrt(2.0 * p.lam * p.beta)
             a_p = step(p, m_p)
-            want = (a_p, m_p, step(p, a_p) + m_p)
-            iv = trapping_interval(p)
-            assert (iv.a, iv.m, iv.b) == want == (a[i], m[i], b[i])
+            for got, want in zip((iv.a, iv.m, iv.b), (a_p, m_p, step(p, a_p) + m_p)):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
-    def test_first_bad_cell_raises_as_scalar(self):
-        good = EconomyParams(alpha=0.75, beta=0.5, lam=3.61)
-        tiny = EconomyParams(alpha=0.5, beta=1e-200, lam=1e-200)  # m underflows to 0
-        with pytest.raises(DomainError, match="price must be positive, got 0.0"):
-            cell_intervals(Cells.of([good, tiny, good]))
-        with pytest.raises(DomainError, match="price must be positive, got 0.0"):
-            trapping_interval(tiny)
+    def test_tiny_prices_get_an_interval_or_a_domain_error(self):
+        # 2*lam*beta underflows to 0 here, but z*sqrt(mu) does not: mu = 2
+        tiny = EconomyParams(alpha=0.5, beta=1e-200, lam=1e-200)
+        assert 2.0 * tiny.lam * tiny.beta == 0.0
+        iv = trapping_interval(tiny)
+        assert (iv.a, iv.m, iv.b) == tuple(1e-200 * v for v in normal_interval(2.0))
+        # one ulp inside the window edges, mu rounds onto them: a = m, and a = 0
+        low = thresholds(EconomyParams(alpha=0.75, beta=0.5, lam=1.0)).lambda_g_low
+        with pytest.raises(DomainError, match="degenerate interval: need 0 < a < m < b, got a=1.0 m=1.0"):
+            trapping_interval(EconomyParams(alpha=0.75, beta=0.5, lam=math.nextafter(low, 2.0)))
+        high = thresholds(EconomyParams(alpha=0.9, beta=1e-311, lam=1.0)).lambda_max
+        with pytest.raises(DomainError, match="got a=0.0"):
+            trapping_interval(EconomyParams(alpha=0.9, beta=1e-311, lam=math.nextafter(high, 0.0)))

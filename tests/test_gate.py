@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from chaoslab import (
     thresholds,
     trapping_interval,
 )
-from chaoslab.economy import EPS_CMP, EPS_ROOT, Cells, cell_intervals, price_map_derivative
+from chaoslab.economy import EPS_CMP, EPS_ROOT, TrappingInterval
 from chaoslab.gate import classify_mus, gate_rule
 from chaoslab.rootfind import grid_brackets, refine_root
 
@@ -65,12 +66,16 @@ class TestGateCheck:
 
     def test_gate_rule_flags_each_condition(self):
         # a proper trapping interval always has a < m < b and max(f(a), f(b)) < b + slack
-        # when its endpoints hold, so each flag is checked here on hand-made values
+        # when its endpoints hold, so each flag is checked here on hand-made values;
+        # the left endpoint expands by (m - a)**2/a whatever fa is, as f(a) - a does
+        # when a = f(m), so fa = a (a cancelled f(a) - a) still expands and a = m does not
         slack = EPS_CMP * 4.0
         cases = [  # (fa, fb, a, m, b), then the six GateReport fields
             ((3.0, 3.5, 1.0, 2.0, 4.0), (True, True, True, True, True, 0.5)),
+            ((1.0, 3.5, 1.0, 2.0, 4.0), (True, True, True, True, True, 0.5)),
+            ((3.0, 3.5, 1.0, 1.5, 4.0), (True, True, True, True, True, 0.25)),
             ((3.0, 3.5, 1.0, 4.0, 4.0), (False, True, True, False, True, 0.5)),
-            ((3.0, 3.5, 2.0, 2.0, 4.0), (False, True, False, False, True, 0.0)),
+            ((3.0, 3.5, 2.0, 2.0, 4.0), (False, False, False, False, True, 0.0)),
             ((4.0 + slack / 2, 3.5, 1.0, 2.0, 4.0), (True, True, True, True, True, 0.5)),
             ((4.0 + slack * 2, 3.5, 1.0, 2.0, 4.0), (False, True, True, True, False, 0.5)),
             ((0.5, 4.5, 1.0, 2.0, 4.0), (False, False, True, True, False, -0.5)),
@@ -366,15 +371,37 @@ def _grid_rows(start: np.ndarray, stop: np.ndarray, n: int, *, endpoint: bool) -
     return rows
 
 
-def gate_reports(params, a, m, b, n_grid, eps_cmp) -> list[GateReport]:
+def raw_interval(p: EconomyParams) -> TrappingInterval:
+    """E as the raw map gives it, m = sqrt(2*lam*beta), a = f(m), b = f(a) + m.
+
+    `trapping_interval` is z times the interval of the normal form, equal to
+    this to rounding; on this one, a = f(m) exactly, so the sampled minimum
+    of x - f(x) on [m, b) is m - a, and the sampled gate's margin matches
+    the closed form's bit for bit.
+    """
+    m = math.sqrt(2.0 * p.lam * p.beta)
+    a = step(p, m)
+    return TrappingInterval(a=a, m=m, b=step(p, a) + m)
+
+
+def gate_reports(params, intervals, n_grid, eps_cmp) -> list[GateReport]:
     """The sampled gate, as reference: each condition checked on grids of n_grid points per cell.
 
     Below-diagonal on [m, b), monotonicity by the sign of f' on [a, m) and
-    (m, b], the self-map condition on [a, b] with the gate's slack.
+    (m, b], the self-map condition on [a, b] with the gate's slack.  f and
+    f' are the raw formulas, as `price_map` and `price_map_derivative`
+    write them, over a column per cell.  The endpoint conditions are point
+    checks; f(a) - a is taken as (m - a)**2/a, its value at a = f(m).
     """
-    columns = Cells(*(v[:, None] for v in Cells.of(params)))
-    f = price_map(columns)
-    df = price_map_derivative(columns)
+    alpha, beta, lam = (np.array([getattr(p, k) for p in params])[:, None] for k in ("alpha", "beta", "lam"))
+    a, m, b = (np.array([getattr(iv, k) for iv in intervals]) for k in ("a", "m", "b"))
+
+    def f(p):
+        return p + lam * (2.0 * beta / p - 4.0 * (1.0 - alpha))
+
+    def df(p):
+        return 1.0 - 2.0 * lam * beta / (p * p)
+
     xs = _grid_rows(m, b, n_grid, endpoint=False)  # [m, b)
     below_gap = xs - f(xs)
     left = _grid_rows(a, m, n_grid, endpoint=False)  # [a, m)
@@ -387,13 +414,14 @@ def gate_reports(params, a, m, b, n_grid, eps_cmp) -> list[GateReport]:
         (below_gap > 0.0).all(axis=-1).tolist(), below_gap.min(axis=-1).tolist(),
         unimodal.tolist(), vals.max(axis=-1).tolist(), vals.min(axis=-1).tolist(),
     ):
-        fa, fb = step(p, a_p), step(p, b_p)
-        endpoints = fa > a_p and fb < b_p
+        fb = step(p, b_p)
+        expansion = (m_p - a_p) * ((m_p - a_p) / a_p)
+        endpoints = expansion > 0.0 and fb < b_p
         slack = eps_cmp * max(1.0, b_p)
         self_map = v_max <= b_p + slack and v_min >= a_p - slack
         out.append(GateReport(
             endpoints and below and uni and self_map, endpoints, below, uni, self_map,
-            min(fa - a_p, b_p - fb, below_min),
+            min(expansion, b_p - fb, below_min),
         ))
     return out
 
@@ -424,25 +452,42 @@ class TestChunkForms:
             beta = math.exp(rng.uniform(math.log(1e-3), math.log(0.98)))
             mu = 1.0 + 10.0 ** rng.uniform(-9.0, -1.0) if k % 4 == 0 else rng.uniform(1.0 + 1e-9, 4.0)
             params.append(EconomyParams(alpha, beta, mu * beta / (8.0 * (1.0 - alpha) ** 2)))
-        intervals = [trapping_interval(p) for p in params]
+        intervals = [raw_interval(p) for p in params]
         want = [gate_check(p, iv) for p, iv in zip(params, intervals)]
+        for p, w in zip(params, want):
+            # the interval that classify uses gets the same flags, down to mu - 1 = 1e-9
+            got = gate_check(p, trapping_interval(p))
+            assert got == replace(w, margin=got.margin)
+            assert got.margin == pytest.approx(w.margin, rel=1e-6)
         for n_grid in (256, 512):
             for i in range(0, len(params), 500):
-                chunk = Cells.of(params[i:i + 500])
-                got = gate_reports(params[i:i + 500], *cell_intervals(chunk), n_grid, EPS_CMP)
+                got = gate_reports(params[i:i + 500], intervals[i:i + 500], n_grid, EPS_CMP)
                 for g, w in zip(got, want[i:i + 500]):
                     assert g == w and repr(g.margin) == repr(w.margin)
 
     def test_sampled_gate_rejects_a_cell_next_to_mu_1_that_the_closed_form_accepts(self):
-        # mu - 1 = 1.3e-14: f' rounds to 0 at the grid points next to m
+        # mu - 1 = 1.3e-14: f' rounds to 0 at the grid points next to m, and
+        # f(a) - a to -2.2e-16 on this interval, where (m - a)**2/a is 4.6e-29
         params = EconomyParams(0.8128619422290805, 0.41110317319336825, 1.4673597645044116)
         interval = trapping_interval(params)
         assert abs(8.0 * params.lam * (1.0 - params.alpha) ** 2 / params.beta - 1.0) < 1e-13
         assert gate_check(params, interval).in_class_g
         for n_grid in (256, 512):
-            [sampled] = gate_reports([params], *cell_intervals(Cells.of([params])), n_grid, EPS_CMP)
+            [sampled] = gate_reports([params], [interval], n_grid, EPS_CMP)
             assert not sampled.in_class_g and not sampled.cond_unimodal
             assert sampled.cond_endpoints and sampled.cond_below_diagonal and sampled.cond_self_map
+
+    def test_the_gate_accepts_every_mu_next_to_1(self):
+        # f(a) - a cancels to 0 or below for mu - 1 under about 2e-8; (m - a)**2/a does not
+        mu = 1.0 + np.logspace(-15.0, -6.0, 3001)
+        gate = classify_mus(mu, (Method.NUMERICAL,)).gate
+        assert gate[0].all() and (gate[-1] > 0.0).all()
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            alpha, beta = float(rng.uniform(0.02, 0.98)), float(rng.uniform(1e-3, 0.98))
+            mu = 1.0 + 10.0 ** rng.uniform(-14.0, -6.0)
+            params = EconomyParams(alpha, beta, mu * beta / (8.0 * (1.0 - alpha) ** 2))
+            assert gate_check(params, trapping_interval(params)).in_class_g, params
 
     @pytest.mark.parametrize("methods", [
         (Method.CLOSED_FORM, Method.NUMERICAL), (Method.CLOSED_FORM,), (Method.NUMERICAL,),

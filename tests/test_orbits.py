@@ -21,11 +21,17 @@ from chaoslab import (
     trapping_interval,
 )
 import chaoslab.orbits
-from chaoslab.economy import Cells, TrappingInterval, price_map_derivative
+from chaoslab.economy import TrappingInterval, normal_form, normal_map
 from chaoslab.orbits import PeriodicOrbit, _cycle_roots, _lap_ends, periodic_orbit_lists
 from chaoslab.rootfind import bisect_many, grid_brackets, refine_root
 
 from conftest import exact_orbit, random_window_params
+
+
+def _normal(params, iv):
+    """(mu, a/z, b/z) of one cell, as the orbit internals take them."""
+    z, mu = normal_form(params)
+    return np.array([mu]), np.array([iv.a / z]), np.array([iv.b / z])
 
 
 def _apply_n(params, x, n):
@@ -300,7 +306,7 @@ class TestPeriodicOrbitLists:
         # the fixed point, which the period-1 divisor explains
         calm = EconomyParams(alpha=0.75, beta=0.5, lam=1.5)
         iv = trapping_interval(calm)
-        _, roots = _cycle_roots([calm], [iv], Cells.of([calm]), 2, 2048)
+        _, roots = _cycle_roots(*_normal(calm, iv), 2, 2048)
         assert roots.tolist() == pytest.approx([1.0])
         params = [anchor, calm, anchor]
         intervals = [trapping_interval(p) for p in params]
@@ -330,23 +336,27 @@ class TestPeriodicOrbitLists:
 
 
 class TestLapScan:
-    """The laps of f^n and the brackets `_cycle_roots` opens on them."""
+    """The laps of g^n, for the normal form g, and the brackets `_cycle_roots` opens on them."""
 
     @staticmethod
     def _laps(params, iv, n):
-        cells = Cells.of([params])
-        _, ends = _lap_ends(cells, np.array([iv.a]), np.array([iv.b]), n)
+        _, ends = _lap_ends(*_normal(params, iv), n)
         return ends
 
     def test_laps_are_monotone(self, anchor, quiet):
-        # (f^n)' = prod f'(f^j(x)) keeps one sign strictly inside every lap
+        # (g^n)' = prod g'(g^j(x)) keeps one sign strictly inside every lap
         # and changes sign from each lap to the next
         for params in [anchor, quiet, *random_window_params(seed=781, count=6)]:
             iv = trapping_interval(params)
-            f, df = price_map(params), price_map_derivative(params)
+            mu, a, b = _normal(params, iv)
+            f = normal_map(mu[0])
+
+            def df(x):
+                return 1.0 - mu[0] / (x * x)
+
             for n in range(1, 7):
                 ends = self._laps(params, iv, n)
-                assert ends[0] == iv.a and ends[-1] == iv.b and np.all(np.diff(ends) > 0)
+                assert ends[0] == a[0] and ends[-1] == b[0] and np.all(np.diff(ends) > 0)
                 signs = []
                 for u, v in zip(ends[:-1], ends[1:]):
                     x = u + (v - u) * np.linspace(0.01, 0.99, 25)
@@ -371,10 +381,11 @@ class TestLapScan:
             iv = trapping_interval(params)
             for n in range(1, 8):
                 seen.clear()
-                _cycle_roots([params], [iv], Cells.of([params]), n, 64 * n)
+                cell = _normal(params, iv)
+                _cycle_roots(*cell, n, 64 * n)
                 ((los, his),) = seen
                 ends = self._laps(params, iv, n)
-                fn = _apply_n_array(price_map(params), ends, n)
+                fn = _apply_n_array(normal_map(cell[0][0]), ends, n)
                 for u, v, fu, fv in zip(ends[:-1], ends[1:], fn[:-1], fn[1:]):
                     if fv <= fu and (fu - u) * (fv - v) < 0:
                         inside = (los >= u) & (his <= v)
@@ -393,7 +404,7 @@ class TestLapScan:
         # an 8M-point grid sees 26,085 sign changes of f^15(x) - x here, the
         # default 122,880-point grid 12,507
         iv = trapping_interval(anchor)
-        _, roots = _cycle_roots([anchor], [iv], Cells.of([anchor]), 15, 8192 * 15)
+        _, roots = _cycle_roots(*_normal(anchor, iv), 15, 8192 * 15)
         assert roots.size >= 26085
 
 

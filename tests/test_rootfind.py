@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import EconomyParams, price_map, trapping_interval
-from chaoslab.economy import Cells
 from chaoslab.orbits import _lap_ends
 from chaoslab.rootfind import (
     REFINE_LOOP_BELOW,
@@ -19,8 +18,18 @@ from conftest import random_window_params
 
 
 def _second_iterate(params):
-    """f(f(x)) - x of EconomyParams or of Cells, for floats and arrays."""
+    """f(f(x)) - x of EconomyParams, for floats and arrays."""
     f = price_map(params)
+    return lambda x: f(f(x)) - x
+
+
+def _second_iterate_rows(params, rows):
+    """f(f(x)) - x with element j under the map of params[rows[j]], as `price_map` writes f."""
+    alpha, beta, lam = (np.array([getattr(params[i], k) for i in rows]) for k in ("alpha", "beta", "lam"))
+
+    def f(p):
+        return p + lam * (2.0 * beta / p - 4.0 * (1.0 - alpha))
+
     return lambda x: f(f(x)) - x
 
 
@@ -207,7 +216,7 @@ def test_both_sides_of_the_cutoff_match_refine_root():
     los, his = np.array(brackets).T
 
     def chunk_func(rows):
-        return _second_iterate(Cells.of(params).take(rows))
+        return _second_iterate_rows(params, rows)
 
     for n in (REFINE_LOOP_BELOW - 1, REFINE_LOOP_BELOW, len(brackets)):
         got = bisect_brackets(los[:n], his[:n], owner[:n], cell_funcs.__getitem__, chunk_func)
@@ -242,7 +251,8 @@ def test_scan_roots_on_many_brackets_matches_refine_root():
             x = f(x)
         return x - 1.0
 
-    _, cuts = _lap_ends(Cells.of([params]), np.array([iv.a]), np.array([iv.b]), 8)
+    # z = 1 and mu = 3.61 here, so the normal form is f itself
+    _, cuts = _lap_ends(np.array([3.61]), np.array([iv.a]), np.array([iv.b]), 8)
     values = F8(cuts)
     pieces = [(u, v) for u, v, fu, fv in zip(cuts[:-1], cuts[1:], values[:-1], values[1:])
               if fu * fv < 0.0]

@@ -91,9 +91,9 @@ def test_grid_density_reaches_the_oracle(monkeypatch, capsys, argv, want):
     scans = []
     real = chaoslab.orbits._minimal_period_rows
 
-    def spy(params, intervals, n, n_points, eps_root):
-        scans.append((n, n_points, len(params)))
-        return real(params, intervals, n, n_points, eps_root)
+    def spy(z, mu, a, b, n, n_points, eps_root):
+        scans.append((n, n_points, len(mu)))
+        return real(z, mu, a, b, n, n_points, eps_root)
 
     monkeypatch.setattr(chaoslab.orbits, "_minimal_period_rows", spy)
     main(["verify", "--alpha-count", "2", "--beta-count", "2", "--lambda-count", "3",
@@ -104,15 +104,15 @@ def test_grid_density_reaches_the_oracle(monkeypatch, capsys, argv, want):
 
 
 def test_raw_cells_catch_a_one_point_fault():
-    # mu = 2.5, z = 1e-10: the raw cell's Pi set loses z to the 1e-9 merge width, so the
-    # one-point numerical route reports chaos; the sweep's canonical cell does not
-    fault = EconomyParams(alpha=0.5, beta=1e-10, lam=1.25e-10)
-    assert evaluate_cell(0.5, 1e-10, 1.25e-10, (Method.CLOSED_FORM, Method.NUMERICAL)).agree
+    # mu = 3.6, beta = 1e-12: lambda_chaos + EPS_CMP exceeds lambda_max, so the raw
+    # thresholds deny the odd cycle that the numerical route, on the normal form, finds
+    fault = EconomyParams(alpha=0.5, beta=1e-12, lam=1.8e-12)
+    assert evaluate_cell(0.5, 1e-12, 1.8e-12, (Method.NUMERICAL,)).odd_cycle_num
     result = VerifyResult(grid_shape=(1, 1, 1))
     check_raw_cells(result, [EconomyParams(alpha=0.75, beta=0.5, lam=3.61), fault])
     assert result.raw_checks == 2 and not result.passed
     assert result.raw_failures == [
-        "alpha=0.5 beta=1e-10 lambda=1.25e-10: odd False/True turbulent False/True"
+        "alpha=0.5 beta=1e-12 lambda=1.8e-12: odd False/True turbulent True/True"
     ]
     assert "[FAIL] one-point routes on raw cells: 2 triples, 1 failures" in format_report(result)
 
