@@ -379,11 +379,9 @@ def cmd_sweep(args) -> int:
         f"methods={'+'.join(m.value for m in methods)}",
         f"eps_cmp={args.eps_cmp!r} eps_root={args.eps_root!r}",
     ]
+    write = write_rows_json if config.output_format == "json" else write_rows_csv
     with _open_out(config.output_path) as fh:
-        if config.output_format == "json":
-            write_rows_json(rows, fh, metadata)
-        else:
-            write_rows_csv(rows, fh, metadata)
+        write(rows, fh, metadata)
     return EXIT_OK
 
 

@@ -262,7 +262,8 @@ def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> 
     odd_cycle, turbulent = closed_form_rule(params.lam, th.lambda_chaos, th.lambda_max, eps_cmp)
     z, mu = normal_form(params)
     g = normal_map(mu)
-    a, m, _ = normal_interval(mu)
+    a, m, b = normal_interval(mu)
+    TrappingInterval(a, m, b)  # DomainError where mu rounds onto a window edge
     f2m = g(a)
     f3m = g(f2m)
     pts = [1.0, *(w for w in _normal_pair(mu) or () if a <= w <= m and a <= g(w) <= m)]

@@ -159,16 +159,17 @@ def _cycle_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of g^n(x) - x on each cell's [a, b], as (owner, roots).
 
-    [a, b] is cut into the laps of g^n, where g^n is monotone.  On a
-    decreasing lap g^n(x) - x is strictly decreasing, so the lap is a
-    bracket exactly when its end values differ in sign.  An increasing lap
-    is halved breadth-first: g^n maps a piece [u, v] onto [g^n(u), g^n(v)],
-    so a piece with g^n(u) > v or g^n(v) < u holds no root and is dropped;
-    the rest are halved until no wider than (b - a)/(n_points - 1), the
-    spacing of an n_points grid, and become brackets where their end
-    values differ in sign.  An end value that is exactly zero is a
-    width-zero bracket.  Every step runs over all pieces of all cells at
-    once, each under the map of its own cell, and the brackets are
+    [a, b] is cut into the laps of g^n, where g^n is monotone.  On a decreasing
+    lap g^n(x) - x is strictly decreasing, so the lap is a bracket exactly when
+    its end values differ in sign.  An increasing lap is halved breadth-first:
+    g^n maps a piece [u, v] onto [g^n(u), g^n(v)], so a piece with g^n(u) > v
+    or g^n(v) < u holds no root and is dropped; the rest are halved until no
+    wider than (b - a)/(n_points - 1), the spacing of an n_points grid, and
+    become brackets where their end values differ in sign.  An end value that
+    is exactly zero is a width-zero bracket.  At odd n >= 3 the lap strictly
+    around 1 is dropped: g(1) = 1 in floats and (g^n)'(1) = (1 - mu)^n < 0, so
+    its one root is the fixed point.  Every step runs over all pieces of all
+    cells at once, each under the map of its own cell, and the brackets are
     bisected together.  Roots come grouped by cell, ascending within it.
     """
     width = (b - a) / max(n_points - 1, 1)
@@ -181,7 +182,8 @@ def _cycle_roots(
     lap = np.nonzero(ends_owner[1:] == ends_owner[:-1])[0]
     laps = (ends_owner[lap], ends[lap], ends[lap + 1], f_ends[lap], f_ends[lap + 1])
     rising = laps[4] > laps[3]
-    pieces = [tuple(col[~rising] for col in laps)]
+    fixed = (n % 2 == 1) & (n > 1) & (laps[1] < 1.0) & (laps[2] > 1.0)
+    pieces = [tuple(col[~rising & ~fixed] for col in laps)]
     owner, u, v, fu, fv = (col[rising] for col in laps)
     while True:
         live = (fu <= v) & (fv >= u)

@@ -18,18 +18,18 @@ its mu, and z times g's f2_of_m, f3_of_m and pi_max.  The closed-form
 verdicts come from the row's own thresholds, so the two routes stay
 independent.  Everything per cell is a column: the cells are arrays built
 from the axes and checked in one pass, the per-mu results are gathered to
-them by index and scaled by z as arrays, and the rows and the CSV text are
-made column by column.  Every row is bit for bit the row its cell gets on
-its own (`evaluate_cell` is a one-cell sweep).  A cell whose float mu
-rounds onto a window edge has no proper interval of g and a blank row.
+them by index and scaled by z as arrays, and kept as the columns of a
+`SweepTable`, which the writers read.  Every row is bit for bit the row
+its cell gets on its own (`evaluate_cell` is a one-cell sweep).  A cell
+whose float mu rounds onto a window edge has no proper interval of g and a blank row.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -134,6 +134,28 @@ class SweepRow:
 #: SweepRow fields that hold a float or None; the others hold a bool or None
 FLOAT_FIELDS = frozenset(k for k, kind in SweepRow.__annotations__.items() if kind.startswith("float"))
 
+
+@dataclass(frozen=True)
+class SweepTable(Sequence):
+    """Sweep rows as one list per SweepRow field; a SweepRow is built only when indexed."""
+
+    columns: dict[str, list]
+
+    @classmethod
+    def of(cls, rows: Sequence[SweepRow]) -> SweepTable:
+        """rows if it is a table, else its rows transposed once into columns."""
+        if isinstance(rows, cls):
+            return rows
+        return cls({field: [getattr(r, field) for r in rows] for _, field in COLUMN_FIELDS})
+
+    def __len__(self):
+        return len(self.columns["alpha"])
+
+    def __getitem__(self, index):
+        cells = [c[index] for c in self.columns.values()]
+        return list(map(SweepRow, *cells)) if isinstance(index, slice) else SweepRow(*cells)
+
+
 def lambda_values(spec: LambdaSpec, lambda_g_low: float, lambda_max: float) -> list[float]:
     """Concrete lambda values for one (alpha, beta) cell.
 
@@ -181,7 +203,7 @@ def mu_of(cells: Cells) -> np.ndarray:
 
 
 def _eval_cells(cells: Cells, methods, eps_cmp, eps_root):
-    """Rows for the cells, in order, each distinct mu classified once in the normal form.
+    """The table of the cells, in order, each distinct mu classified once in the normal form.
 
     Raises the ValueError of EconomyParams for the first invalid cell.
     """
@@ -211,7 +233,7 @@ def _eval_cells(cells: Cells, methods, eps_cmp, eps_root):
         column = np.full(len(mu), None, dtype=object)
         column[inside] = values
         columns.append(column.tolist())
-    return list(map(SweepRow, *columns))
+    return SweepTable(dict(zip(SweepRow.__dataclass_fields__, columns)))
 
 
 def run_sweep(
@@ -220,7 +242,7 @@ def run_sweep(
     jobs: int = 1,
     eps_cmp: float = EPS_CMP,
     eps_root: float = EPS_ROOT,
-) -> list[SweepRow]:
+) -> SweepTable:
     """Evaluate every grid cell, in deterministic alpha/beta/lambda order.
 
     Sweeps run in one process: jobs is accepted for callers that pass
@@ -231,32 +253,28 @@ def run_sweep(
     return _eval_cells(_cells(config), config.methods, eps_cmp, eps_root)
 
 
-def write_rows_csv(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
+def write_rows_csv(rows: Sequence[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
     """CSV with '#' metadata lines, a header row, and 17-significant-digit floats.
 
-    Formats column by column.  No cell needs quoting: each is a float,
-    true, false or empty.
+    One ",%.17g" template formats a column's distinct floats, its empty first field
+    standing for None.  No cell needs quoting: each is a float, true, false or empty.
     """
-    fields = [field for _, field in COLUMN_FIELDS]
-    text = [
-        ["" if v is None else format(v, ".17g") for v in column] if field in FLOAT_FIELDS
-        else [_WORDS[v] for v in column]
-        for field, column in zip(fields, zip(*map(attrgetter(*fields), rows)))
-    ]
+    text = []
+    for field, column in SweepTable.of(rows).columns.items():
+        words = _WORDS
+        if field in FLOAT_FIELDS:
+            floats = [v for v in dict.fromkeys(column) if v is not None]
+            words = dict(zip([None, *floats], (",%.17g" * len(floats) % tuple(floats)).split(",")))
+        text.append(map(words.__getitem__, column))
     lines = [*(f"# {line}" for line in metadata), ",".join(CSV_COLUMNS), *map(",".join, zip(*text))]
     stream.write("\n".join(lines) + "\n")
 
 
-def row_dict(row: SweepRow) -> dict:
-    """The row as a JSON-ready mapping; keys mirror the CSV columns 1:1."""
-    return {column: getattr(row, field) for column, field in COLUMN_FIELDS}
-
-
-def write_rows_json(rows: list[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
+def write_rows_json(rows: Sequence[SweepRow], stream: io.TextIOBase, metadata: list[str]) -> None:
     doc = {
         "tool": {"name": "chaoslab", "version": __version__},
         "metadata": metadata,
-        "rows": [row_dict(r) for r in rows],
+        "rows": [dict(zip(CSV_COLUMNS, v)) for v in zip(*SweepTable.of(rows).columns.values())],
     }
     json.dump(doc, stream, indent=2)
     stream.write("\n")

@@ -140,22 +140,13 @@ def check_agreement(
     lambda_chaos = cell_thresholds(cells)[2]
     kept = cells._make(v[~(np.abs(cells.lam - lambda_chaos) <= eps_band * lambda_chaos)] for v in cells)
     result.cells_skipped_band += len(cells.lam) - len(kept.lam)
-    rows = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root)
-    result.cells_checked += len(rows)
+    table = _eval_cells(kept, (Method.CLOSED_FORM, Method.NUMERICAL), eps_cmp, eps_root)
+    result.cells_checked += len(table)
     result.mu_checked += len(set(mu_of(kept).tolist()))
-    for row in rows:
-        if not row.agree:
-            result.disagreements.append(
-                Disagreement(
-                    alpha=row.alpha,
-                    beta=row.beta,
-                    lam=row.lam,
-                    odd_cf=row.odd_cycle_cf,
-                    odd_num=row.odd_cycle_num,
-                    turb_cf=row.turbulent_cf,
-                    turb_num=row.turbulent_num,
-                )
-            )
+    # a row is built only for a cell where the routes disagree
+    for r in (table[i] for i, agree in enumerate(table.columns["agree"]) if not agree):
+        verdicts = r.odd_cycle_cf, r.odd_cycle_num, r.turbulent_cf, r.turbulent_num
+        result.disagreements.append(Disagreement(r.alpha, r.beta, r.lam, *verdicts))
 
 
 def check_raw_cells(

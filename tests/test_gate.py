@@ -25,7 +25,7 @@ from chaoslab import (
     thresholds,
     trapping_interval,
 )
-from chaoslab.economy import EPS_CMP, EPS_ROOT, TrappingInterval
+from chaoslab.economy import EPS_CMP, EPS_ROOT, DomainError, TrappingInterval
 from chaoslab.gate import classify_mus, gate_rule
 from chaoslab.rootfind import grid_brackets, refine_root
 
@@ -265,6 +265,27 @@ class TestClosedFormClassifier:
             classify_closed_form(EconomyParams(alpha=0.75, beta=0.5, lam=0.5))
         with pytest.raises(WindowError):
             classify_closed_form(EconomyParams(alpha=0.75, beta=0.5, lam=4.0))
+
+    def test_one_ulp_inside_the_window_edges_gives_a_verdict_or_domain_error(self):
+        # mu can round onto 1 or 4 there, where g has no proper interval: at 4 a = 0,
+        # and the audit float g(a) would divide by it
+        rng = np.random.default_rng(24)
+        raised = {True: 0, False: 0}
+        for alpha, beta in rng.uniform(0.05, 0.95, (3000, 2)).tolist():
+            th = thresholds(EconomyParams(alpha=alpha, beta=beta, lam=1.0))
+            for upper, lam in ((False, math.nextafter(th.lambda_g_low, math.inf)),
+                               (True, math.nextafter(th.lambda_max, 0.0))):
+                params = EconomyParams(alpha=alpha, beta=beta, lam=lam)
+                try:
+                    trapping_interval(params)
+                except DomainError:
+                    with pytest.raises(DomainError, match="degenerate interval"):
+                        classify_closed_form(params)
+                    raised[upper] += 1
+                else:
+                    v = classify_closed_form(params)
+                    assert (v.odd_cycle, v.turbulent_second_iterate) == (upper, upper)
+        assert raised[True] > 100 and raised[False] > 100
 
     def test_audit_fields_match_iteration(self, anchor):
         v = classify_closed_form(anchor)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from chaoslab import (
 )
 from chaoslab.economy import Cells
 from chaoslab.gate import MuColumns
+from chaoslab.sweep import SweepRow, SweepTable
 
 
 def _config(**overrides):
@@ -193,7 +195,7 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert len(rows) > 130
         want = [evaluate_cell(r.alpha, r.beta, r.lam, methods) for r in rows]
-        assert rows == want
+        assert list(rows) == want
         if kind == "absolute":
             assert any(r.f2_of_m is None for r in rows) and any(r.f2_of_m for r in rows)
 
@@ -202,6 +204,52 @@ class TestRunSweep:
         config = _config(alpha_range=(0.1, 0.9, 5), beta_range=(0.5, 0.5, 1))
         for row in run_sweep(config):
             assert row.lambda_chaos / row.lambda_max == pytest.approx(25 / 36, abs=1e-12)
+
+
+class TestSweepTable:
+    """run_sweep's result: one list per SweepRow field, a row built only when indexed."""
+
+    def test_sequence_of_the_rows_of_its_cells(self):
+        config = _WRITER_CONFIGS["absolute_with_blanks"]
+        table = run_sweep(config)
+        cells = zip(*(table.columns[field] for field in ("alpha", "beta", "lam")))
+        rows = [evaluate_cell(*cell, config.methods) for cell in cells]
+        assert isinstance(table, Sequence) and len(table) == len(rows) == 72
+        assert any(r.agree is None for r in rows) and any(r.agree for r in rows)
+        for i in (0, 5, 71, -1, -72):
+            assert type(table[i]) is SweepRow and table[i] == rows[i]
+        for cut in (slice(3, 9), slice(None, None, -5), slice(70, 99), slice(72, None)):
+            assert table[cut] == rows[cut]
+        assert list(table) == [row for row in table] == rows
+        assert table.index(rows[7]) == 7 and rows[7] in table
+        with pytest.raises(IndexError):
+            table[72]
+        with pytest.raises(IndexError):
+            table[-73]
+
+    def test_tables_with_equal_rows_are_equal(self):
+        table = run_sweep(_config())
+        assert table == run_sweep(_config())
+        assert table != run_sweep(_config(lambda_spec=LambdaSpec(kind="window", count=5)))
+        assert SweepTable.of(table) is table
+        assert SweepTable.of(list(table)) == table and SweepTable.of(table[:5]) != table
+        assert len(SweepTable.of([])) == 0
+
+    def test_run_sweep_and_the_writers_build_no_rows(self, monkeypatch):
+        built = []
+
+        class CountedRow(SweepRow):
+            def __init__(self, *values):
+                built.append(values)
+                super().__init__(*values)
+
+        monkeypatch.setattr(chaoslab.sweep, "SweepRow", CountedRow)
+        table = run_sweep(_WRITER_CONFIGS["absolute_with_blanks"])
+        write_rows_csv(table, io.StringIO(), [])
+        write_rows_json(table, io.StringIO(), [])
+        assert built == []
+        row = table[3]
+        assert type(row) is CountedRow and built == [tuple(vars(row).values())]
 
 
 def _pair(verdict):
@@ -292,7 +340,7 @@ class TestCanonicalCells:
                 cells.append((alpha, beta, lam))
         methods = (Method.CLOSED_FORM, Method.NUMERICAL)
         rows = chaoslab.sweep._eval_cells(_as_cells(cells), methods, EPS_CMP, EPS_ROOT)
-        assert rows == [evaluate_cell(*cell, methods) for cell in cells]
+        assert list(rows) == [evaluate_cell(*cell, methods) for cell in cells]
         # at (0.75, 0.5) mu = lam: 1 + ulp has a = m in floats, 4 - ulp is proper
         assert rows[0].agree is None and not rows[0].in_class_g
         assert rows[1].agree is True and rows[1].odd_cycle_num
@@ -461,20 +509,22 @@ _WRITER_CONFIGS = {
 class TestWriters:
     @pytest.mark.parametrize("name", sorted(_WRITER_CONFIGS))
     def test_csv_equals_the_csv_writer_reference(self, name):
-        rows = run_sweep(_WRITER_CONFIGS[name])
-        got, want = io.StringIO(), io.StringIO()
-        write_rows_csv(rows, got, ["chaoslab test", name])
-        _reference_csv(rows, want, ["chaoslab test", name])
-        assert got.getvalue() == want.getvalue()
-        doc = io.StringIO()
-        write_rows_json(rows, doc, [name])
-        want = {
+        # the writers read a table's columns, and transpose a plain list of rows into them
+        table = run_sweep(_WRITER_CONFIGS[name])
+        want_csv = io.StringIO()
+        _reference_csv(list(table), want_csv, ["chaoslab test", name])
+        want_json = {
             "tool": {"name": "chaoslab", "version": chaoslab.__version__},
             "metadata": [name],
             "rows": [{column: getattr(r, field) for column, field in chaoslab.sweep.COLUMN_FIELDS}
-                     for r in rows],
+                     for r in list(table)],
         }
-        assert doc.getvalue() == json.dumps(want, indent=2) + "\n"
+        for rows in (table, list(table)):
+            got, doc = io.StringIO(), io.StringIO()
+            write_rows_csv(rows, got, ["chaoslab test", name])
+            assert got.getvalue() == want_csv.getvalue()
+            write_rows_json(rows, doc, [name])
+            assert doc.getvalue() == json.dumps(want_json, indent=2) + "\n"
 
     def test_csv_of_no_rows_is_the_header(self):
         buf = io.StringIO()

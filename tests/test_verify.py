@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chaoslab.orbits
+import chaoslab.sweep
 from chaoslab import (
     GRID_BASE,
     EconomyParams,
@@ -20,6 +21,7 @@ from chaoslab import (
 )
 from chaoslab.cli import main
 from chaoslab.verify import (
+    Disagreement,
     VerifyResult,
     check_agreement,
     check_factor_identity,
@@ -135,6 +137,33 @@ def test_agreement_counts_distinct_mu():
     assert result.mu_checked == len(np.unique(mu))
     assert 7 <= result.mu_checked < 112
     assert f"112 cells ({result.mu_checked} distinct mu) checked" in format_report(result)
+
+
+def test_forced_disagreements_match_the_row_loop(monkeypatch):
+    # check_agreement reads the agree column and builds rows only where it is false;
+    # with every third closed-form odd-cycle verdict flipped it must report what a
+    # loop over every row of the same sweep reports
+    real = chaoslab.sweep.closed_form_rule
+
+    def flipped(lam, *args):
+        odd_cycle, turbulent = real(lam, *args)
+        return odd_cycle ^ (np.arange(len(lam)) % 3 == 0), turbulent
+
+    monkeypatch.setattr(chaoslab.sweep, "closed_form_rule", flipped)
+    result = VerifyResult(grid_shape=(4, 4, 7))
+    check_agreement(result, 4, 4, 7)
+    config = SweepConfig(alpha_range=(0.05, 0.95, 4), beta_range=(0.05, 0.95, 4),
+                         lambda_spec=LambdaSpec(kind="window", count=7))
+    want = []
+    for row in list(run_sweep(config)):
+        if not row.agree:
+            want.append(Disagreement(
+                alpha=row.alpha, beta=row.beta, lam=row.lam,
+                odd_cf=row.odd_cycle_cf, odd_num=row.odd_cycle_num,
+                turb_cf=row.turbulent_cf, turb_num=row.turbulent_num,
+            ))
+    assert result.cells_checked == 112 and len(want) == 38
+    assert result.disagreements == want and not result.passed
 
 
 def test_factor_identity_shares_the_sign_of_the_direct_gap():
