@@ -203,15 +203,7 @@ def build_parser() -> _Parser:
 
 
 def _verdict_dict(v) -> dict:
-    return {
-        "odd_cycle": v.odd_cycle,
-        "turbulent_second_iterate": v.turbulent_second_iterate,
-        "f2_of_m": v.f2_of_m,
-        "f3_of_m": v.f3_of_m,
-        "pi_max": v.pi_max,
-        "pi_min": v.pi_min,
-        "method": v.method.value,
-    }
+    return {**vars(v), "method": v.method.value}
 
 
 def cmd_classify(args) -> int:
@@ -221,12 +213,7 @@ def cmd_classify(args) -> int:
     doc = {
         "tool": {"name": "chaoslab", "version": __version__},
         "params": {"alpha": params.alpha, "beta": params.beta, "lambda": params.lam},
-        "thresholds": {
-            "lambda_g_low": th.lambda_g_low,
-            "lambda_pi": th.lambda_pi,
-            "lambda_chaos": th.lambda_chaos,
-            "lambda_max": th.lambda_max,
-        },
+        "thresholds": dict(vars(th)),
     }
     try:
         interval = trapping_interval(params)
@@ -239,16 +226,9 @@ def cmd_classify(args) -> int:
         return EXIT_WINDOW
 
     doc["in_window"] = True
-    doc["interval"] = {"a": interval.a, "m": interval.m, "b": interval.b}
+    doc["interval"] = dict(vars(interval))
     gate = gate_check(params, interval, eps_cmp=args.eps_cmp)
-    doc["gate"] = {
-        "in_class_g": gate.in_class_g,
-        "cond_endpoints": gate.cond_endpoints,
-        "cond_below_diagonal": gate.cond_below_diagonal,
-        "cond_unimodal": gate.cond_unimodal,
-        "cond_self_map": gate.cond_self_map,
-        "margin": gate.margin,
-    }
+    doc["gate"] = dict(vars(gate))
     cf = num = None
     if Method.CLOSED_FORM in methods:
         cf = classify_closed_form(params, eps_cmp=args.eps_cmp)
@@ -388,7 +368,7 @@ def cmd_sweep(args) -> int:
 def _orbit_doc(orbit) -> dict | None:
     if orbit is None:
         return None
-    return {"period": orbit.period, "points": list(orbit.points), "residual": orbit.residual}
+    return {**vars(orbit), "points": list(orbit.points)}
 
 
 def cmd_certify(args) -> int:
@@ -406,7 +386,7 @@ def cmd_certify(args) -> int:
     doc = {
         "tool": {"name": "chaoslab", "version": __version__},
         "params": {"alpha": params.alpha, "beta": params.beta, "lambda": params.lam},
-        "interval": {"a": interval.a, "m": interval.m, "b": interval.b},
+        "interval": dict(vars(interval)),
         "search": {
             "max_period": args.max_period,
             "grid_base": args.grid_density,
@@ -414,10 +394,7 @@ def cmd_certify(args) -> int:
         },
         "odd_cycle": _orbit_doc(odd),
         "turbulence_witness": None if witness is None else {
-            "x1": witness.x1,
-            "x2": witness.x2,
-            "x3": witness.x3,
-            "residuals": list(witness.residuals),
+            **vars(witness), "residuals": list(witness.residuals),
         },
         "period3": _orbit_doc(three),
         "note": "empty certificates mean 'not found within the stated search bounds', not non-existence",

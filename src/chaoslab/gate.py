@@ -19,7 +19,7 @@ turbulent iff f^2(m) > m and f^3(m) >= min(Pi).
 Pi needs no search.  In the normal form g(x) = x + mu*(1/x - 1) of
 `economy`, g(g(x)) - x factors as -mu*(x - 1)*q(x) / (x**2*g(x)) with
 q(x) = x**2 - mu*x + mu/2, so its candidates are the fixed point 1 and the
-two roots of q (`period2_points`).
+two roots of q (`normal_pairs`).
 
 Both tests are implemented twice and cross-checked: `classify_numerical`
 evaluates the criterion directly (iteration plus Pi from those
@@ -27,10 +27,11 @@ candidates), and `classify_closed_form` evaluates the equivalent
 lambda-threshold inequalities.  Agreement of the two on the whole parameter window is the
 package's central invariant and is exercised by the verify suite.
 
-Every numerical step runs on g: on floats for one cell, and as array
-expressions over many mu in `classify_mus`, which sweeps use.  Tolerances
-compare in units of z, and results are scaled by z.  Only `gate_check`,
-kept raw as a cross-check, and the closed-form verdict use the raw map.
+Every numerical step runs on g and is written once, as a rule for floats
+and arrays alike: the one-point functions apply it to one cell's floats,
+`classify_mus`, which sweeps use, to arrays of mu.  Tolerances compare in
+units of z, and results are scaled by z.  Only `gate_check`, kept raw as
+a cross-check, and the closed-form verdict use the raw map.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .economy import (
     require_window,
     thresholds,
 )
-from .rootfind import bisect_brackets, dedupe_sorted, refine_root
+from .rootfind import bisect_brackets, refine_root
 
 
 class Method(str, enum.Enum):
@@ -165,12 +166,15 @@ def gate_rule(fa, fb, a, m, b, eps_cmp):
     unimodal when a < m < b, and its maximum is max(f(a), f(b)), which may
     exceed b by an eps_cmp-scaled slack of float noise.  x - f(x) increases,
     so its minimum on [m, b) is m - a, which makes a < m the below-diagonal
-    condition.  The expansion f(a) - a is taken in its exact form
-    (m - a)**2/a, since f(a) - a cancels to 0 or below next to mu = 1.
-    margin is the smallest slack of the strict inequalities.
+    condition.  The expansion f(a) - a equals (m - a)**2/a, positive for
+    a > 0 exactly when m != a, so its flag is that comparison: f(a) - a
+    cancels to 0 or below next to mu = 1, and (m - a)**2/a underflows to 0
+    at tiny prices.  margin is the smallest slack of the strict
+    inequalities, with the expansion as that product; 0.0 there means a
+    slack below double resolution.
     """
-    expansion = (m - a) * ((m - a) / a)  # (m - a)**2/a, with no underflow at tiny prices
-    endpoints = (expansion > 0.0) & (fb < b)
+    expansion = (m - a) * ((m - a) / a)
+    endpoints = (m != a) & (fb < b)
     below_diagonal = a < m
     unimodal = below_diagonal & (m < b)
     self_map = np.maximum(fa, fb) <= b + eps_cmp * np.maximum(1.0, b)
@@ -190,28 +194,81 @@ def _pair_factor(mu):
     return lambda x: x * (x - mu) + half
 
 
-def _normal_pair(mu: float) -> tuple[float, float] | None:
-    # q(1) = 1 - mu/2: the pair is born at mu = 2; for q(1) < 0, q > 0 at
-    # 1/2 (1/4) and at mu (mu/2), so [1/2, 1] and [1, mu] bracket one root each
+def normal_pairs(mu) -> tuple:
+    """The two-cycle pair w1 <= 1 <= w2 of g, the roots of q; nan where there is none.
+
+    q(1) = 1 - mu/2: the pair is born at mu = 2, as (1, 1); for q(1) < 0,
+    q > 0 at 1/2 (1/4) and at mu (mu/2), so [1/2, 1] and [1, mu] bracket one
+    root each.  A float takes two `refine_root` calls, half the cost of a
+    one-element array pass; an array one `bisect_brackets` call.
+    """
     q = _pair_factor(mu)
     q1 = q(1.0)
-    if q1 > 0.0:
-        return None
-    if q1 == 0.0:
-        return 1.0, 1.0
-    return refine_root(q, 0.5, 1.0), refine_root(q, 1.0, mu)
+    if isinstance(mu, float):
+        if q1 > 0.0:
+            return math.nan, math.nan
+        if q1 == 0.0:
+            return 1.0, 1.0
+        return refine_root(q, 0.5, 1.0), refine_root(q, 1.0, mu)
+    w1 = np.where(q1 == 0.0, 1.0, np.nan)
+    w2 = w1.copy()
+    cross = np.flatnonzero(q1 < 0.0)
+    n = len(cross)
+    mus = mu.tolist()
+    roots = bisect_brackets(
+        np.concatenate([np.full(n, 0.5), np.ones(n)]),
+        np.concatenate([np.ones(n), mu[cross]]),
+        np.concatenate([cross, cross]),
+        lambda i: _pair_factor(mus[i]),
+        lambda owner: _pair_factor(mu[owner]),
+    )
+    w1[cross], w2[cross] = roots[:n], roots[n:]
+    return w1, w2
 
 
 def period2_points(params: EconomyParams) -> tuple[float, float] | None:
     """The pair of two-cycle prices, ordered w1 <= w2, or None when no real pair exists.
 
-    The pair is z times the roots of q (module docstring), which
-    `refine_root` bisects in the normal form.  It is born at mu = 2,
-    returned as (z, z).
+    The pair is z times `normal_pairs`, the roots of q (module docstring).
+    It is born at mu = 2, returned as (z, z).
     """
     z, mu = normal_form(params)
-    pair = _normal_pair(mu)
-    return None if pair is None else (z * pair[0], z * pair[1])
+    w1, w2 = normal_pairs(mu)
+    return None if math.isnan(w1) else (z * w1, z * w2)
+
+
+def _select(cond, x, y):
+    """x where cond holds, else y: `np.where` for arrays, a conditional for floats."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _confined(g, x, lo, hi):
+    """x and g(x) both in [lo, hi]."""
+    gx = g(x)
+    return (lo <= x) & (x <= hi) & (lo <= gx) & (gx <= hi)
+
+
+def pi_rule(mu, a, m, w1, w2, eps_root):
+    """Flags (k1, d2, d3) of the candidates w1 <= 1 <= w2 that are Pi points; floats or arrays.
+
+    In units of z, a candidate and its image must lie within eps_root of
+    [a, m] with a g^2 residual of at most eps_root, and a point within
+    10*eps_root of the last one kept merges into it.
+    """
+    g = normal_map(mu)
+    lo, hi = a - eps_root, m + eps_root
+
+    def kept(x):
+        return _confined(g, x, lo, hi) & (abs(g(g(x)) - x) <= eps_root)
+
+    tol = 10.0 * eps_root
+    k1 = kept(w1)
+    last = _select(k1, w1, -math.inf)
+    d2 = kept(1.0) & (1.0 - last > tol)
+    d3 = kept(w2) & (w2 - _select(d2, 1.0, last) > tol)
+    return k1, d2, d3
 
 
 def pi_set(
@@ -224,22 +281,17 @@ def pi_set(
 
     By the factorization of g(g(x)) - x (module docstring), the fixed
     point and the two-cycle pair are its only roots, so they are the only
-    candidates.  In units of z, each must lie in [a, m], have its image in
-    [a, m], and satisfy the eps_root residual bound.  Duplicates merge
-    within 10*eps_root.  The fixed point always qualifies inside the
-    window, so an empty result signals a numerics bug and raises.
+    candidates, and `pi_rule` filters and merges them in units of z.  The
+    fixed point always qualifies inside the window, so an empty result
+    signals a numerics bug and raises.
     """
     z, mu = normal_form(params)
-    g = normal_map(mu)
-    lo, hi = interval.a / z - eps_root, interval.m / z + eps_root
-    kept = [
-        x for x in sorted([1.0, *(_normal_pair(mu) or ())])
-        if lo <= x <= hi and lo <= g(x) <= hi and abs(g(g(x)) - x) <= eps_root
-    ]
-    merged = dedupe_sorted(kept, 10.0 * eps_root)
-    if not merged:
+    w1, w2 = normal_pairs(mu)
+    flags = pi_rule(mu, interval.a / z, interval.m / z, w1, w2, eps_root)
+    points = tuple(z * x for x, keep in zip((w1, 1.0, w2), flags) if keep)
+    if not points:
         raise _empty_pi_set(mu)
-    return PiSet(points=tuple(z * x for x in merged))
+    return PiSet(points=points)
 
 
 def _empty_pi_set(mu: float) -> ConsistencyError:
@@ -261,14 +313,19 @@ def classify_closed_form(params: EconomyParams, *, eps_cmp: float = EPS_CMP) -> 
     th = require_window(params)
     odd_cycle, turbulent = closed_form_rule(params.lam, th.lambda_chaos, th.lambda_max, eps_cmp)
     z, mu = normal_form(params)
-    g = normal_map(mu)
     a, m, b = normal_interval(mu)
     TrappingInterval(a, m, b)  # DomainError where mu rounds onto a window edge
+    audit = _closed_form_audit(mu, a, m, *normal_pairs(mu))
+    return ChaosVerdict(odd_cycle, turbulent, *(z * v for v in audit), Method.CLOSED_FORM)
+
+
+def _closed_form_audit(mu, a, m, w1, w2):
+    """The closed form's f2_of_m, f3_of_m, pi_max, pi_min in units of z; floats or arrays alike."""
+    g = normal_map(mu)
     f2m = g(a)
-    f3m = g(f2m)
-    pts = [1.0, *(w for w in _normal_pair(mu) or () if a <= w <= m and a <= g(w) <= m)]
-    return ChaosVerdict(
-        odd_cycle, turbulent, z * f2m, z * f3m, z * max(pts), z * min(pts), Method.CLOSED_FORM
+    return (
+        f2m, g(f2m),
+        _select(_confined(g, w2, a, m), w2, 1.0), _select(_confined(g, w1, a, m), w1, 1.0),
     )
 
 
@@ -300,99 +357,58 @@ def classify_numerical(
     m = interval.m / z
     f2m = g(g(m))
     f3m = g(f2m)
+    verdict = numerical_rule(f2m, f3m, m, pi.high / z, pi.low / z, eps_cmp)
+    return ChaosVerdict(*verdict, z * f2m, z * f3m, pi.high, pi.low, Method.NUMERICAL)
+
+
+def numerical_rule(f2m, f3m, m, pi_max, pi_min, eps_cmp):
+    """(odd_cycle, turbulent_second_iterate) from g^2(m), g^3(m) and Pi; floats or arrays alike."""
     expands = f2m > m + eps_cmp
-    return ChaosVerdict(
-        expands and f3m > pi.high / z + eps_cmp, expands and f3m >= pi.low / z - eps_cmp,
-        z * f2m, z * f3m, pi.high, pi.low, Method.NUMERICAL,
-    )
+    return expands & (f3m > pi_max + eps_cmp), expands & (f3m >= pi_min - eps_cmp)
 
 
 @dataclass(frozen=True)
 class MuColumns:
     """The `classify_mus` columns, one element per mu.
 
-    gate holds the `GateReport` fields in order, pair the `period2_points`
-    pair (nan where there is none), closed_form and numerical the
-    `ChaosVerdict` fields but method; a method not run leaves None.
+    gate holds the `GateReport` fields in order, closed_form and numerical
+    the `ChaosVerdict` fields but method; a method not run leaves None.
     """
 
     gate: tuple[np.ndarray, ...]
-    pair: tuple[np.ndarray, np.ndarray]
     closed_form: tuple[np.ndarray, ...] | None
     numerical: tuple[np.ndarray, ...] | None
 
 
 def classify_mus(mus, methods, eps_cmp: float = EPS_CMP, eps_root: float = EPS_ROOT) -> MuColumns:
-    """`gate_check`, `period2_points` and the classifiers in the normal form of each mu, as columns.
+    """`gate_check` and the classifiers in the normal form of each mu, as columns.
 
     Each mu must lie strictly inside the window (1, 4) with a proper
     interval.  Element i equals the one-point result at (0.75, 0.5, mus[i]),
-    where z = 1 and the raw map is g, bit for bit: the same float
-    operations run elementwise, the canonical thresholds there are
-    exactly 25/9 and 4, the pair comes from one `bisect_brackets` call,
-    and the Pi filter of `pi_set` is a set of masks over the sorted
-    candidates w1 <= 1 <= w2.  The first mu with an empty Pi set raises
-    the ConsistencyError of `pi_set`.
+    where z = 1 and the raw map is g, bit for bit: the rules of the
+    one-point routes (`normal_pairs`, `pi_rule`, `numerical_rule`, the
+    closed-form audit and `gate_rule`) run on arrays, and the canonical
+    thresholds there are exactly 25/9 and 4.  The first mu with an empty
+    Pi set raises the ConsistencyError of `pi_set`.
     """
     mu = np.asarray(mus, dtype=float)
-    g = normal_map(mu)
     a, m, b = normal_interval(mu)
-    f2m = g(a)
-    f3m = g(f2m)
-    w1, w2 = _normal_pairs(mu)
+    w1, w2 = normal_pairs(mu)
+    f2m, f3m, *cf_pi = _closed_form_audit(mu, a, m, w1, w2)
     closed_form = numerical = None
-
-    def confined(x, lo, hi):  # x and g(x) in [lo, hi]
-        gx = g(x)
-        return (lo <= x) & (x <= hi) & (lo <= gx) & (gx <= hi)
-
     if Method.CLOSED_FORM in methods:
-        closed_form = (
-            *closed_form_rule(mu, 25 / 9, 4.0, eps_cmp), f2m, f3m,
-            np.where(confined(w2, a, m), w2, 1.0), np.where(confined(w1, a, m), w1, 1.0),
-        )
+        closed_form = (*closed_form_rule(mu, 25 / 9, 4.0, eps_cmp), f2m, f3m, *cf_pi)
     if Method.NUMERICAL in methods:
-        lo, hi = a - eps_root, m + eps_root
-
-        def kept(x):
-            return confined(x, lo, hi) & (np.abs(g(g(x)) - x) <= eps_root)
-
-        k1, k2, k3 = kept(w1), kept(np.ones_like(mu)), kept(w2)
-        empty = ~(k1 | k2 | k3)
+        k1, d2, d3 = pi_rule(mu, a, m, w1, w2, eps_root)
+        empty = ~(k1 | d2 | d3)
         if empty.any():
             raise _empty_pi_set(mu[np.argmax(empty)].item())
-        # dedupe_sorted: a point within 10*eps_root of the last one kept merges into it
-        tol = 10.0 * eps_root
-        d2 = k2 & ~(k1 & (1.0 - w1 <= tol))
-        d3 = k3 & ~((k1 | d2) & (w2 - np.where(d2, 1.0, w1) <= tol))
         pi_max = np.where(d3, w2, np.where(d2, 1.0, w1))
         pi_min = np.where(k1, w1, np.where(d2, 1.0, w2))
-        expands = f2m > m + eps_cmp
-        numerical = (
-            expands & (f3m > pi_max + eps_cmp), expands & (f3m >= pi_min - eps_cmp),
-            f2m, f3m, pi_max, pi_min,
-        )
-    gate = gate_rule(g(a), g(b), a, m, b, eps_cmp)
-    return MuColumns(gate, (w1, w2), closed_form, numerical)
-
-
-def _normal_pairs(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`period2_points` in the normal form of each mu, as two columns; nan where there is none."""
-    q1 = _pair_factor(mu)(1.0)
-    w1 = np.where(q1 == 0.0, 1.0, np.nan)
-    w2 = w1.copy()
-    cross = np.flatnonzero(q1 < 0.0)
-    n = len(cross)
-    mus = mu.tolist()
-    roots = bisect_brackets(
-        np.concatenate([np.full(n, 0.5), np.ones(n)]),
-        np.concatenate([np.ones(n), mu[cross]]),
-        np.concatenate([cross, cross]),
-        lambda i: _pair_factor(mus[i]),
-        lambda owner: _pair_factor(mu[owner]),
-    )
-    w1[cross], w2[cross] = roots[:n], roots[n:]
-    return w1, w2
+        verdict = numerical_rule(f2m, f3m, m, pi_max, pi_min, eps_cmp)
+        numerical = (*verdict, f2m, f3m, pi_max, pi_min)
+    gate = gate_rule(f2m, normal_map(mu)(b), a, m, b, eps_cmp)
+    return MuColumns(gate, closed_form, numerical)
 
 
 def second_iterate_sign_report(params: EconomyParams) -> SecondIterateSignReport:

@@ -8,6 +8,7 @@ critical point, into pieces where f^n is monotone, and brackets of
 f^n(x) - x are taken from those pieces.  The three-cycle is the period-3
 row of that scan; the turbulence witness starts from the roots of its
 period-2 row and finds preimages under f^2 one lap of f^2 at a time.
+Both scans take their brackets by one rule, `rootfind.piece_brackets`.
 Every search runs on the normal form g(x) = x + mu*(1/x - 1) of
 `economy`, on the interval [a/z, b/z], and scales the points it reports
 by the fixed point z.  So eps_root and every residual are in units of z,
@@ -33,7 +34,7 @@ from .economy import (
     normal_map,
     step,
 )
-from .rootfind import bisect_brackets, scan_roots
+from .rootfind import bisect_brackets, piece_brackets, scan_roots, sorted_distinct
 
 #: iterates at or beyond this magnitude stop a trajectory (map is unbounded above)
 OVERFLOW_GUARD = 1e12
@@ -142,16 +143,7 @@ def _lap_ends(mu: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.
         owner, level = owner[inside], level[inside]
         found_owner.append(owner)
         found.append(level)
-    return _sorted_distinct(np.concatenate(found_owner), np.concatenate(found))
-
-
-def _sorted_distinct(owner: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, point) pairs sorted by owner, then point, with repeats dropped."""
-    order = np.lexsort((points, owner))
-    owner, points = owner[order], points[order]
-    fresh = np.ones(points.size, dtype=bool)
-    fresh[1:] = (owner[1:] != owner[:-1]) | (points[1:] != points[:-1])
-    return owner[fresh], points[fresh]
+    return sorted_distinct(np.concatenate(found_owner), np.concatenate(found))
 
 
 def _cycle_roots(
@@ -160,17 +152,18 @@ def _cycle_roots(
     """Roots of g^n(x) - x on each cell's [a, b], as (owner, roots).
 
     [a, b] is cut into the laps of g^n, where g^n is monotone.  On a decreasing
-    lap g^n(x) - x is strictly decreasing, so the lap is a bracket exactly when
-    its end values differ in sign.  An increasing lap is halved breadth-first:
-    g^n maps a piece [u, v] onto [g^n(u), g^n(v)], so a piece with g^n(u) > v
-    or g^n(v) < u holds no root and is dropped; the rest are halved until no
-    wider than (b - a)/(n_points - 1), the spacing of an n_points grid, and
-    become brackets where their end values differ in sign.  An end value that
-    is exactly zero is a width-zero bracket.  At odd n >= 3 the lap strictly
-    around 1 is dropped: g(1) = 1 in floats and (g^n)'(1) = (1 - mu)^n < 0, so
-    its one root is the fixed point.  Every step runs over all pieces of all
-    cells at once, each under the map of its own cell, and the brackets are
-    bisected together.  Roots come grouped by cell, ascending within it.
+    lap g^n(x) - x is strictly decreasing, so the lap holds at most one root.
+    An increasing lap is halved breadth-first: g^n maps a piece [u, v] onto
+    [g^n(u), g^n(v)], so a piece with g^n(u) > v or g^n(v) < u holds no root
+    and is dropped; the rest are halved until no wider than
+    (b - a)/(n_points - 1), the spacing of an n_points grid.  The pieces
+    become brackets by `piece_brackets`: where their end values differ in
+    sign, and once per point where an end value is exactly zero.  At odd
+    n >= 3 the lap strictly around 1 is dropped: g(1) = 1 in floats and
+    (g^n)'(1) = (1 - mu)^n < 0, so its one root is the fixed point.  Every
+    step runs over all pieces of all cells at once, each under the map of its
+    own cell, and the brackets are bisected together.  Roots come grouped by
+    cell, ascending within it, as the disjoint brackets that hold them.
     """
     width = (b - a) / max(n_points - 1, 1)
 
@@ -200,28 +193,16 @@ def _cycle_roots(
         fu, fv = np.concatenate([fu, fmid]), np.concatenate([fmid, fv])
 
     owner, u, v, fu, fv = (np.concatenate(col) for col in zip(*pieces))
-    hu, hv = fu - u, fv - v
-    sign_change = hu * hv < 0.0
-    zero_owner, zeros = _sorted_distinct(
-        np.concatenate([owner[hu == 0.0], owner[hv == 0.0]]),
-        np.concatenate([u[hu == 0.0], v[hv == 0.0]]),
-    )
-    owner = np.concatenate([owner[sign_change], zero_owner])
-    los = np.concatenate([u[sign_change], zeros])
-    his = np.concatenate([v[sign_change], zeros])
-    order = np.lexsort((los, owner))
-    owner, los, his = owner[order], los[order], his[order]
+    owner, los, his = piece_brackets(owner, u, v, fu - u, fv - v)
 
     def cycle_func(g):
         return lambda x: _iterate_array(g, x, n) - x
 
     mus = mu.tolist()
-    roots = bisect_brackets(
+    return owner, bisect_brackets(
         los, his, owner, lambda i: cycle_func(normal_map(mus[i])),
         lambda rows: cycle_func(normal_map(mu[rows])),
     )
-    order = np.lexsort((roots, owner))
-    return owner[order], roots[order]
 
 
 def _minimal_period_rows(z, mu, a, b, n, n_points, eps_root) -> list[list[PeriodicOrbit]]:

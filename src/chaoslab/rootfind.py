@@ -3,10 +3,13 @@
 Every search in this package follows the same recipe: find brackets where
 the target function changes sign, then halve each bracket until a halving
 moves neither end.  That ends on the float next to the sign change, so no
-Newton polish follows.  The brackets come from the pieces between sorted
-cut points where the function is monotone (`scan_roots`, fed the laps of
-f^n by `orbits`), or from an exact factorization (the two-cycle pair in
-`gate`, whose quadratic factor has known signs at the bracket ends).
+Newton polish follows.  The brackets come from pieces where the function
+is monotone, by one rule, `piece_brackets`: a piece is a bracket where its
+end values differ in sign.  `scan_roots` takes its pieces between sorted
+cut points (the laps of g^2 for the turbulence witness), and `orbits`
+the laps of g^n and their halves for the periodic-orbit scan.  The
+two-cycle pair in `gate` comes from an exact factorization instead, whose
+quadratic factor has known signs at the bracket ends.
 `refine_root` runs the bisection on Python floats, `bisect_many` on many
 brackets at once as numpy arrays, and the two give every bracket the same
 float bit for bit; `bisect_brackets` picks one of them by the number of
@@ -96,40 +99,50 @@ def bisect_brackets(
     return bisect_many(func, los, his)
 
 
-def grid_brackets(values: np.ndarray, xs: np.ndarray) -> list[tuple[float, float]]:
-    """Consecutive sorted points over which the sampled values change sign.
+def piece_brackets(owner, u, v, hu, hv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets of monotone pieces [u, v] with end values hu, hv, as (owner, los, his).
 
-    Exact zeros at the points are returned as width-zero brackets so the
-    caller still sees them as roots.
+    A piece is a bracket where its end values differ in sign, tested as a
+    product of signs, which cannot underflow as hu*hv can.  An exact zero at
+    a piece end is one width-zero bracket per owner and point.  Brackets
+    come sorted by owner, then lo.
     """
-    out: list[tuple[float, float]] = []
-    sign = np.sign(values)
-    if np.count_nonzero(values) < len(values):
-        for i in np.nonzero(sign == 0.0)[0]:
-            out.append((float(xs[i]), float(xs[i])))
-    flip = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    for i in flip:
-        out.append((float(xs[i]), float(xs[i + 1])))
-    out.sort()
-    return out
+    flip = np.sign(hu) * np.sign(hv) < 0.0
+    zero_owner, zeros = sorted_distinct(
+        np.concatenate([owner[hu == 0.0], owner[hv == 0.0]]),
+        np.concatenate([u[hu == 0.0], v[hv == 0.0]]),
+    )
+    owner = np.concatenate([owner[flip], zero_owner])
+    los = np.concatenate([u[flip], zeros])
+    his = np.concatenate([v[flip], zeros])
+    order = np.lexsort((los, owner))
+    return owner[order], los[order], his[order]
+
+
+def sorted_distinct(owner: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, point) pairs sorted by owner, then point, with repeats dropped."""
+    order = np.lexsort((points, owner))
+    owner, points = owner[order], points[order]
+    fresh = np.ones(points.size, dtype=bool)
+    fresh[1:] = (owner[1:] != owner[:-1]) | (points[1:] != points[:-1])
+    return owner[fresh], points[fresh]
 
 
 def scan_roots(func: Callable, cuts: Sequence[float]) -> list[float]:
     """The roots of func, monotone on each piece between consecutive sorted cuts.
 
-    A piece whose end values differ in sign holds one root and is one
-    bracket; an exact zero at a cut is returned once, as is.  func is
-    evaluated at the cuts as a numpy array; it must also accept Python
-    floats, because `bisect_brackets` refines a few brackets one at a time
-    on floats.  Roots are returned in increasing order.  A root where func
-    touches zero at a cut without changing sign is seen only if the value
-    there is exactly zero.
+    The pieces become brackets by `piece_brackets`: a piece whose end values
+    differ in sign holds one root, and an exact zero at a cut is returned
+    once, as is.  func is evaluated at the cuts as a numpy array; it must
+    also accept Python floats, because `bisect_brackets` refines a few
+    brackets one at a time on floats.  Roots are returned in increasing
+    order.  A root where func touches zero at a cut without changing sign
+    is seen only if the value there is exactly zero.
     """
     cuts = np.asarray(cuts, dtype=float)
-    brackets = grid_brackets(func(cuts), cuts)
-    los = np.array([b[0] for b in brackets])
-    his = np.array([b[1] for b in brackets])
-    owner = np.zeros(len(brackets), dtype=np.intp)
+    values = func(cuts)
+    owner = np.zeros_like(cuts[1:], dtype=np.intp)
+    owner, los, his = piece_brackets(owner, cuts[:-1], cuts[1:], values[:-1], values[1:])
     return bisect_brackets(los, his, owner, lambda _: func, lambda _: func).tolist()
 
 
@@ -162,13 +175,3 @@ def bisect_many(
             break
         los, his = new_los, new_his
     return 0.5 * (los + his)
-
-
-def dedupe_sorted(points: Sequence[float], tol: float) -> list[float]:
-    """Collapse an ascending sequence, keeping the first point of each cluster."""
-    out: list[float] = []
-    for p in points:
-        if out and p - out[-1] <= tol:
-            continue
-        out.append(p)
-    return out

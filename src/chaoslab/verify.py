@@ -3,7 +3,7 @@
 Four groups of evidence:
 
 1. verdict agreement of the closed-form and numerical classifiers over a
-   dense parameter grid on the sweep's canonical cells (excluding a thin
+   dense parameter grid by distinct mu, as sweeps run (excluding a thin
    relative band around lambda_chaos, where floating point cannot resolve
    the boundary), and on the raw cells of random window triples;
 2. the second-iterate sign note: the transcribed piecewise rule for
@@ -278,7 +278,7 @@ def format_report(result: VerifyResult) -> str:
     na, nb, nl = result.grid_shape
     status = "FAIL" if result.disagreements else "PASS"
     lines.append(
-        f"[{status}] cross-method agreement: {na}x{nb}x{nl} grid on canonical cells, "
+        f"[{status}] cross-method agreement: {na}x{nb}x{nl} grid by distinct mu, "
         f"{result.cells_checked} cells ({result.mu_checked} distinct mu) checked, "
         f"{result.cells_skipped_band} skipped inside the lambda_chaos band, "
         f"{len(result.disagreements)} disagreements"

@@ -56,6 +56,23 @@ def random_window_params(seed: int, count: int, frac_range=(0.05, 0.95)) -> list
     return out
 
 
+def grid_brackets(values: np.ndarray, xs: np.ndarray) -> list[tuple[float, float]]:
+    """Dense-grid reference brackets: consecutive sorted points over which the values change sign.
+
+    Exact zeros at the points are returned as width-zero brackets.  Written
+    apart from `rootfind.piece_brackets`, so the tests that scan a dense grid
+    with it check the library's lap scans against an independent rule.
+    """
+    out: list[tuple[float, float]] = []
+    sign = np.sign(values)
+    for i in np.nonzero(sign == 0.0)[0]:
+        out.append((float(xs[i]), float(xs[i])))
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
+        out.append((float(xs[i]), float(xs[i + 1])))
+    out.sort()
+    return out
+
+
 @pytest.fixture
 def anchor() -> EconomyParams:
     """The showcase parameter point used throughout the docs and demos."""

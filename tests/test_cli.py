@@ -10,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaoslab import Method, evaluate_cell
 from chaoslab.cli import (
     EXIT_CANTCREAT,
     EXIT_OK,
@@ -52,6 +53,30 @@ class TestClassify:
         assert doc["numerical"]["odd_cycle"] is True
         assert doc["numerical"]["f2_of_m"] == pytest.approx(15.58, abs=1e-9)
         assert doc["agree"] is True
+
+    def test_json_keys_and_their_order_are_pinned(self, capsys):
+        # the report objects take their keys from the dataclasses' fields;
+        # a field added there changes the output only once it is listed here
+        _, out, _ = run_cli(
+            capsys, "classify", "--alpha", "0.75", "--beta", "0.5", "--lambda", "3.61", "--format", "json",
+        )
+        doc = json.loads(out)
+        verdict = ["odd_cycle", "turbulent_second_iterate", "f2_of_m", "f3_of_m", "pi_max", "pi_min", "method"]
+        assert {key: list(value) if isinstance(value, dict) else None for key, value in doc.items()} == {
+            "tool": ["name", "version"],
+            "params": ["alpha", "beta", "lambda"],
+            "thresholds": ["lambda_g_low", "lambda_pi", "lambda_chaos", "lambda_max"],
+            "in_window": None,
+            "interval": ["a", "m", "b"],
+            "gate": ["in_class_g", "cond_endpoints", "cond_below_diagonal", "cond_unimodal",
+                     "cond_self_map", "margin"],
+            "closed_form": verdict,
+            "numerical": verdict,
+            "agree": None,
+        }
+        assert list(doc) == ["tool", "params", "thresholds", "in_window", "interval", "gate",
+                             "closed_form", "numerical", "agree"]
+        assert doc["numerical"]["method"] == "numerical"
 
     def test_below_window_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -167,6 +192,9 @@ class TestCertify:
         assert doc["turbulence_witness"] is not None
         assert max(doc["turbulence_witness"]["residuals"]) <= 1e-10
         assert doc["search"]["max_period"] == 15
+        assert list(doc["interval"]) == ["a", "m", "b"]
+        assert list(doc["odd_cycle"]) == list(doc["period3"]) == ["period", "points", "residual"]
+        assert list(doc["turbulence_witness"]) == ["x1", "x2", "x3", "residuals"]
 
     def test_small_beta_certificates(self, capsys):
         # mu = 3.61 with z = 2e-12: the searches run on the normal form, so the
@@ -309,6 +337,34 @@ def test_classify_gives_a_verdict_or_exit_2_over_the_legal_domain(beta, gap, mu)
     exact = 8 * Fraction(lam) * (1 - Fraction(alpha)) ** 2 / Fraction(beta)
     if code == EXIT_OK and abs(exact - Fraction(25, 9)) > Fraction(1, 10**6):
         assert json.loads(out.getvalue())["numerical"]["odd_cycle"] is (Fraction(25, 9) < exact < 4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(beta=_log_uniform(1e-300, 1.0).filter(lambda b: b < 1.0),
+       gap=_log_uniform(1e-9, 0.95), mu=st.floats(1.0, 4.0))
+# m - a is subnormal at the raw prices here, and (m - a)**2/a underflowed to 0
+@example(beta=1.2676254552298135e-299, gap=0.03607737031143865, mu=1.0000000000000004)
+def test_one_cell_sweep_matches_classify_over_the_legal_domain(beta, gap, mu):
+    # the row's verdict columns are blank exactly where classify exits 2, and
+    # elsewhere its gate flag and both verdicts are those of the one-point routes
+    alpha = 1.0 - gap
+    lam = mu * beta / (8.0 * (1.0 - alpha) ** 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "--alpha", repr(alpha), "--beta", repr(beta),
+                     "--lambda", repr(lam), "--format", "json"])
+    row = evaluate_cell(alpha, beta, lam, (Method.CLOSED_FORM, Method.NUMERICAL))
+    verdicts = (row.odd_cycle_cf, row.turbulent_cf, row.odd_cycle_num, row.turbulent_num)
+    assert code in (EXIT_OK, EXIT_WINDOW)
+    assert (code == EXIT_WINDOW) == all(v is None for v in verdicts)
+    if code == EXIT_OK:
+        doc = json.loads(out.getvalue())
+        assert doc["gate"]["in_class_g"] is True
+        assert row.in_class_g is True
+        assert verdicts == tuple(
+            doc[route][field] for route in ("closed_form", "numerical")
+            for field in ("odd_cycle", "turbulent_second_iterate")
+        )
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,10 +27,10 @@ from chaoslab import (
     trapping_interval,
 )
 from chaoslab.economy import EPS_CMP, EPS_ROOT, DomainError, TrappingInterval
-from chaoslab.gate import classify_mus, gate_rule
-from chaoslab.rootfind import grid_brackets, refine_root
+from chaoslab.gate import classify_mus, gate_rule, normal_pairs
+from chaoslab.rootfind import refine_root
 
-from conftest import exact_orbit, random_window_params
+from conftest import exact_orbit, grid_brackets, random_window_params
 
 W1_ANCHOR = 1.805 - math.sqrt(1.453025)
 W2_ANCHOR = 1.805 + math.sqrt(1.453025)
@@ -84,6 +85,16 @@ class TestGateCheck:
             assert tuple(v.item() if hasattr(v, "item") else v for v in gate_rule(*args, EPS_CMP)) == want
         columns = gate_rule(*(np.array(v) for v in zip(*(args for args, _ in cases))), EPS_CMP)
         assert [tuple(v.tolist()) for v in columns] == [tuple(v) for v in zip(*(w for _, w in cases))]
+
+    def test_endpoint_flag_holds_where_the_expansion_underflows(self):
+        # m - a is subnormal at these raw prices, so (m - a)**2/a rounds to 0: the flag
+        # comes from m != a, and margin reads 0.0, a slack below double resolution
+        params = EconomyParams(0.9639226296885613, 1.2676254552298135e-299, 1.217394166340804e-297)
+        interval = trapping_interval(params)
+        assert 0.0 < interval.m - interval.a < sys.float_info.min
+        report = gate_check(params, interval)
+        assert report.in_class_g and report.cond_endpoints
+        assert report.margin == 0.0
 
     def test_grid_size_is_ignored(self, anchor):
         interval = trapping_interval(anchor)
@@ -447,6 +458,29 @@ def gate_reports(params, intervals, n_grid, eps_cmp) -> list[GateReport]:
     return out
 
 
+def pi_reference(params: EconomyParams, interval: TrappingInterval, eps_root: float):
+    """Pi by a list filter and a sorted merge, written apart from `gate.pi_rule`.
+
+    The candidates 1 and the `period2_points` pair, sorted, are kept when
+    they and their images lie within eps_root of [a, m] and their second
+    iterate returns within eps_root; a kept point within 10*eps_root of the
+    last one kept merges into it.  Returns (kept, merged).  Needs z = 1, as
+    at alpha = 0.75, beta = 0.5.
+    """
+    f = price_map(params)
+    lo, hi = interval.a - eps_root, interval.m + eps_root
+    kept = [
+        x for x in sorted([1.0, *(period2_points(params) or ())])
+        if lo <= x <= hi and lo <= f(x) <= hi and abs(f(f(x)) - x) <= eps_root
+    ]
+    merged: list[float] = []
+    for x in kept:
+        if merged and x - merged[-1] <= 10.0 * eps_root:
+            continue
+        merged.append(x)
+    return kept, merged
+
+
 def _bits(values) -> list[str]:
     return [repr(v) for v in values]
 
@@ -522,6 +556,7 @@ class TestChunkForms:
         mus = sorted(set(mus))
         assert len(mus) >= 2000
         cols = classify_mus(mus, methods)
+        pairs = normal_pairs(np.asarray(mus))
         assert (cols.closed_form is None) == (Method.CLOSED_FORM not in methods)
         assert (cols.numerical is None) == (Method.NUMERICAL not in methods)
         for i, mu in enumerate(mus):
@@ -531,7 +566,7 @@ class TestChunkForms:
             assert GateReport(*(v[i].item() for v in cols.gate)) == gate
             assert repr(cols.gate[-1][i].item()) == repr(gate.margin)
             pair = period2_points(params)
-            got_pair = [v[i].item() for v in cols.pair]
+            got_pair = [v[i].item() for v in pairs]
             assert _bits(got_pair) == (["nan", "nan"] if pair is None else _bits(pair))
             for column, route in ((cols.closed_form, lambda: classify_closed_form(params)),
                                   (cols.numerical, lambda: classify_numerical(params, interval))):
@@ -542,15 +577,24 @@ class TestChunkForms:
 
     def test_classify_mus_merges_candidates_as_pi_set_does(self):
         # with eps_root = 1e-3 the merge width 1e-2 joins the pair to the fixed point
-        # for mu up to about 2 + 2e-4, and the pair to itself a little beyond
-        mus = (2.0 + np.linspace(0.0, 1e-3, 400)).tolist()
-        cols = classify_mus(mus, (Method.NUMERICAL,), eps_root=1e-3)
+        # for mu up to about 2 + 2e-4, and the pair to itself a little beyond;
+        # the default eps_root merges only at mu = 2, where the pair is (1, 1)
+        for eps_root in (1e-3, EPS_ROOT):
+            self._check_pi_against_the_reference(eps_root)
+
+    def _check_pi_against_the_reference(self, eps_root):
+        rng = np.random.default_rng(543)
+        mus = (2.0 + np.linspace(0.0, 1e-3, 400)).tolist() + rng.uniform(1.0 + 1e-9, 4.0, 200).tolist()
+        cols = classify_mus(mus, (Method.NUMERICAL,), eps_root=eps_root)
         merged = 0
         for i, mu in enumerate(mus):
             params = EconomyParams(alpha=0.75, beta=0.5, lam=mu)
             interval = trapping_interval(params)
-            merged += len(pi_set(params, interval, eps_root=1e-3).points) < 3
-            want = classify_numerical(params, interval, eps_root=1e-3)
+            kept, want_points = pi_reference(params, interval, eps_root)
+            assert pi_set(params, interval, eps_root=eps_root).points == tuple(want_points)
+            assert (cols.numerical[4][i], cols.numerical[5][i]) == (want_points[-1], want_points[0])
+            merged += len(want_points) < len(kept)
+            want = classify_numerical(params, interval, eps_root=eps_root)
             got = ChaosVerdict(*(v[i].item() for v in cols.numerical), want.method)
             assert _bits(vars(got).values()) == _bits(vars(want).values())
         assert 0 < merged < len(mus)

@@ -23,9 +23,9 @@ from chaoslab import (
 import chaoslab.orbits
 from chaoslab.economy import TrappingInterval, normal_form, normal_map
 from chaoslab.orbits import PeriodicOrbit, _cycle_roots, _lap_ends, periodic_orbit_lists
-from chaoslab.rootfind import bisect_many, grid_brackets, refine_root
+from chaoslab.rootfind import bisect_many, refine_root
 
-from conftest import exact_orbit, random_window_params
+from conftest import exact_orbit, grid_brackets, random_window_params
 
 
 def _normal(params, iv):

@@ -9,12 +9,12 @@ from chaoslab.rootfind import (
     REFINE_LOOP_BELOW,
     bisect_brackets,
     bisect_many,
-    grid_brackets,
+    piece_brackets,
     refine_root,
     scan_roots,
 )
 
-from conftest import random_window_params
+from conftest import grid_brackets, random_window_params
 
 
 def _second_iterate(params):
@@ -282,6 +282,33 @@ def test_scan_roots_exact_zero_at_a_cut_is_returned_once(cuts, want):
 
     assert scan_roots(parabola, cuts) == want
     assert scan_roots(parabola, np.array(cuts)) == want
+
+
+def test_piece_brackets_zero_on_a_shared_cut_is_one_bracket():
+    # pieces [0, 1], [1, 2], [2, 3] with a zero at the cut 1 and a sign change on [2, 3]
+    u, v = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    hu, hv = np.array([-1.0, 0.0, 2.0]), np.array([0.0, 2.0, -1.0])
+    owner, los, his = piece_brackets(np.zeros(3, dtype=np.intp), u, v, hu, hv)
+    assert (owner.tolist(), los.tolist(), his.tolist()) == ([0, 0], [1.0, 2.0], [1.0, 3.0])
+
+
+def test_piece_brackets_come_in_owner_order():
+    # pieces of three owners, given out of order, each with one bracket or zero
+    owner = np.array([2, 0, 1, 0, 2])
+    u = np.array([0.0, 5.0, 1.0, 0.0, 4.0])
+    v = np.array([1.0, 6.0, 2.0, 1.0, 5.0])
+    hu = np.array([1.0, -1.0, 0.0, 1.0, 1.0])
+    hv = np.array([-1.0, 1.0, 3.0, -1.0, 2.0])
+    got = piece_brackets(owner, u, v, hu, hv)
+    assert [col.tolist() for col in got] == [[0, 0, 1, 2], [0.0, 5.0, 1.0, 0.0], [1.0, 6.0, 1.0, 1.0]]
+
+
+def test_piece_brackets_sign_change_of_tiny_ends():
+    # 1e-200 * -1e-200 underflows to -0.0, which is not below zero; the signs still differ
+    assert 1e-200 * -1e-200 == 0.0
+    one = np.zeros(1, dtype=np.intp)
+    got = piece_brackets(one, np.array([0.5]), np.array([0.75]), np.array([1e-200]), np.array([-1e-200]))
+    assert [col.tolist() for col in got] == [[0], [0.5], [0.75]]
 
 
 def edge_brackets():
