@@ -72,6 +72,16 @@ def _number(text: str) -> float:
         return float(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number or fraction: {text!r}")
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"too large for a float: {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance: a `_number` (so finite) >= 0."""
+    value = _number(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
 
 
 def _int_at_least(least: int):
@@ -133,16 +143,17 @@ def _add_param_flags(p: _Parser) -> None:
 
 
 def _add_tol_flags(p: _Parser, *, grid_density: bool = True, eps_cmp: bool = True) -> None:
-    p.add_argument("--eps-root", type=float, default=EPS_ROOT, help="root residual tolerance")
+    p.add_argument("--eps-root", type=_tolerance, default=EPS_ROOT, help="root residual tolerance")
     if grid_density:
         p.add_argument(
             "--grid-density", type=_int_at_least(2), default=GRID_BASE,
-            help="base scan density (>= 2): sets the smallest lap piece of every orbit,"
-            " three-cycle and witness scan (the spacing of density*n points at period n)",
+            help="base scan density (>= 2): sets the smallest lap piece of the odd-cycle"
+            " and three-cycle scans (the spacing of density*n points at period n);"
+            " the turbulence witness takes no scan",
         )
     if eps_cmp:
         p.add_argument(
-            "--eps-cmp", type=float, default=EPS_CMP, help="threshold comparison tolerance"
+            "--eps-cmp", type=_tolerance, default=EPS_CMP, help="threshold comparison tolerance"
         )
 
 
@@ -379,9 +390,7 @@ def cmd_certify(args) -> int:
     odd = find_odd_cycle(
         params, interval, args.max_period, eps_root=args.eps_root, grid_base=args.grid_density
     )
-    witness = find_turbulence_witness(
-        params, interval, eps_root=args.eps_root, grid_base=args.grid_density
-    )
+    witness = find_turbulence_witness(params, interval, eps_root=args.eps_root)
     three = search_period3(params, interval, eps_root=args.eps_root, grid_base=args.grid_density)
     doc = {
         "tool": {"name": "chaoslab", "version": __version__},

@@ -126,22 +126,6 @@ class SecondIterateSignReport:
     observed_drop: bool
 
 
-@dataclass(frozen=True)
-class EndpointGapReport:
-    """The left-endpoint expansion gap f(a) - a, three ways.
-
-    exact_form = (a - m)**2 / a equals the direct evaluation identically.
-    square_form = (sqrt(lam) - sqrt(2*beta)/(4*(1-alpha)))**2 vanishes on
-    the same lambda locus and shares the sign of the gap, but differs from
-    it by the positive factor 16*lam*(1-alpha)**2 / a; it is reported for
-    audit only and must never be asserted equal to the direct value.
-    """
-
-    direct: float
-    exact_form: float
-    square_form: float
-
-
 def gate_check(
     params: EconomyParams,
     interval: TrappingInterval,
@@ -422,17 +406,3 @@ def second_iterate_sign_report(params: EconomyParams) -> SecondIterateSignReport
         rule_predicts_drop=rule,
         observed_drop=gap < 0.0,
     )
-
-
-def endpoint_gap_report(params: EconomyParams) -> EndpointGapReport:
-    """Audit the left-endpoint gap f(a) - a and its closed forms."""
-    require_window(params)
-    f = price_map(params)
-    m = critical_point(params)
-    a = float(f(m))
-    direct = float(f(a)) - a
-    exact_form = (a - m) ** 2 / a
-    square_form = (
-        math.sqrt(params.lam) - math.sqrt(2.0 * params.beta) / (4.0 * (1.0 - params.alpha))
-    ) ** 2
-    return EndpointGapReport(direct=direct, exact_form=exact_form, square_form=square_form)

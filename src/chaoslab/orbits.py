@@ -1,21 +1,23 @@
 """Concrete certificates: trajectories, periodic orbits, turbulence witnesses.
 
-Everything here is found by direct numerical search on the trapping
-interval, independent of the closed-form thresholds, so the two can be
-played against each other.  Periodic orbits of period n are found lap by
-lap: [a, b] is cut at the turning points of f^n, the preimages of the
-critical point, into pieces where f^n is monotone, and brackets of
-f^n(x) - x are taken from those pieces.  The three-cycle is the period-3
-row of that scan; the turbulence witness starts from the roots of its
-period-2 row and finds preimages under f^2 one lap of f^2 at a time.
-Both scans take their brackets by one rule, `rootfind.piece_brackets`.
-Every search runs on the normal form g(x) = x + mu*(1/x - 1) of
-`economy`, on the interval [a/z, b/z], and scales the points it reports
-by the fixed point z.  So eps_root and every residual are in units of z,
-that is, relative to the price scale.  Searches run in a fixed order;
-identical inputs give bit-identical outputs.  An empty result means "not
-found within the scan and period bound", never "does not exist" --
-callers that emit results are expected to attach the search bounds.
+Everything here is computed from the map on the trapping interval,
+independent of the closed-form thresholds, so the two can be played
+against each other.  Periodic orbits of period n are found lap by lap:
+[a, b] is cut at the turning points of f^n, the preimages of the critical
+point, into pieces where f^n is monotone, and brackets of f^n(x) - x are
+taken from those pieces by `rootfind.piece_brackets`.  The three-cycle is
+the period-3 row of that scan.  The turbulence witness searches for
+nothing: the fixed points of f^2 are the fixed point and the two-cycle
+pair of `gate.normal_pairs`, and preimages under f^2 are two steps back
+through the inverse branches of f (`_preimages`), the step that also
+gives the turning points of f^n.  Everything runs on the normal form
+g(x) = x + mu*(1/x - 1) of `economy`, on the interval [a/z, b/z], and
+scales the points it reports by the fixed point z.  So eps_root and every
+residual are in units of z, that is, relative to the price scale.
+Searches run in a fixed order; identical inputs give bit-identical
+outputs.  An empty result means "not found within the scan and period
+bound", never "does not exist" -- callers that emit results are expected
+to attach the search bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .economy import (
     normal_map,
     step,
 )
-from .rootfind import bisect_brackets, piece_brackets, scan_roots, sorted_distinct
+from .gate import normal_pairs
+from .rootfind import bisect_brackets, piece_brackets, sorted_distinct
 
 #: iterates at or beyond this magnitude stop a trajectory (map is unbounded above)
 OVERFLOW_GUARD = 1e12
@@ -114,16 +117,27 @@ def _normal_cells(params, intervals) -> tuple[np.ndarray, ...]:
     return z, mu, a, b
 
 
+def _preimages(mu, y) -> tuple:
+    """Both preimages of y under g, (left, right): x = (s -/+ sqrt(s^2 - 4*mu))/2, s = y + mu.
+
+    nan where s^2 < 4*mu, that is below g(m): those y have no preimage.
+    """
+    s = y + mu
+    with np.errstate(invalid="ignore"):
+        right = 0.5 * (s + np.sqrt(s * s - 4.0 * mu))
+    # the product of the two branches is mu; this avoids cancellation
+    return mu / right, right
+
+
 def _lap_ends(mu: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ends of the laps of g^n on each cell's [a, b], as (owner, points).
 
     The turning points of g^n are the critical point m = sqrt(mu) and its
     preimages g^-k(m) for k < n.  Starting from m, each level is the
-    previous one pulled back through both inverse branches
-    x = (s +/- sqrt(s^2 - 4*mu))/2, s = y + mu, keeping the preimages
-    strictly inside (a, b); a point outside [a, b] has no preimage inside
-    it.  Points come grouped by cell, ascending within it, with a and b
-    added and repeats dropped.
+    previous one pulled back through both branches of `_preimages`,
+    keeping the preimages strictly inside (a, b); a point outside [a, b]
+    has no preimage inside it.  Points come grouped by cell, ascending
+    within it, with a and b added and repeats dropped.
     """
     owner = np.arange(a.size)
     level = np.sqrt(mu)
@@ -131,15 +145,9 @@ def _lap_ends(mu: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.
     owner, level = owner[inside], level[inside]
     found_owner, found = [np.arange(a.size), owner, np.arange(a.size)], [a, level, b]
     for _ in range(1, n):
-        mu_k = mu[owner]
-        s = level + mu_k
-        with np.errstate(invalid="ignore"):
-            right = 0.5 * (s + np.sqrt(s * s - 4.0 * mu_k))
-        # the product of the two branches is mu; this avoids cancellation
-        left = mu_k / right
-        owner = np.concatenate([owner, owner])
-        level = np.concatenate([left, right])
-        inside = (level > a[owner]) & (level < b[owner])  # false where s^2 < 4*mu
+        left, right = _preimages(mu[owner], level)
+        owner, level = np.concatenate([owner, owner]), np.concatenate([left, right])
+        inside = (level > a[owner]) & (level < b[owner])  # false where there is no preimage
         owner, level = owner[inside], level[inside]
         found_owner.append(owner)
         found.append(level)
@@ -357,38 +365,37 @@ def find_turbulence_witness(
     interval: TrappingInterval,
     *,
     eps_root: float = EPS_ROOT,
-    grid_base: int = GRID_BASE,
 ) -> TurbulenceWitness | None:
-    """First turbulence witness for g = f^2, in deterministic scan order.
+    """First turbulence witness for g = f^2, in deterministic order; it scans and brackets nothing.
 
-    Fixed points x1 of g are enumerated in increasing order, from the lap
-    scan of f^2 that `find_periodic_orbits` runs for period 2; for each,
-    the candidates x2 with g(x2) = x1 are tried nearest-first (preferring
-    the side closer to x1); x3 must solve g(x3) = x2 strictly between x1
-    and x2.  g - c is monotone on each lap of g, so the preimages of c are
-    found with one bracket per lap whose end values differ in sign, the
-    laps clipped to the x1..x2 span for x3.  Returns None when every
-    combination fails.  The search runs in the normal form.
+    In the normal form the fixed points of g are 1 and the two-cycle pair
+    of `gate.normal_pairs`; those in [a, b] are tried as x1 in increasing
+    order.  The preimages of y under g are two steps back through the
+    branches of `_preimages`.  For each x1, its preimages in [a, b] farther
+    than 10*eps_root from it are tried as x2 nearest-first (preferring the
+    smaller on a tie); x3 is taken, in increasing order, from the
+    preimages of x2 strictly between x1 and x2.  The first triple whose
+    three residuals meet eps_root is returned; None when every one fails.
     """
-    cells = _normal_cells([params], [interval])
-    z, mu = (v.item() for v in cells[:2])
+    z, mu = normal_form(params)
+    a, b = interval.a / z, interval.b / z
     f = normal_map(mu)
 
     def g(x):
         return f(f(x))
 
-    _, fixed = _cycle_roots(*cells[1:], 2, 2 * grid_base)
-    _, laps = _lap_ends(*cells[1:], 2)
-    for x1 in fixed.tolist():
-        pre = scan_roots(lambda x: g(x) - x1, laps)
-        candidates = [x2 for x2 in pre if abs(x2 - x1) > 10.0 * eps_root]
+    def preimages(y):
+        xs = np.concatenate(_preimages(mu, np.concatenate(_preimages(mu, np.array([y])))))
+        return sorted(set(xs[(xs >= a) & (xs <= b)].tolist()))
+
+    for x1 in sorted({x for x in (*normal_pairs(mu), 1.0) if a <= x <= b}):
+        candidates = [x2 for x2 in preimages(x1) if abs(x2 - x1) > 10.0 * eps_root]
         candidates.sort(key=lambda x2: (abs(x2 - x1), x2))
         for x2 in candidates:
             lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-            cuts = [lo, *laps[(laps > lo) & (laps < hi)].tolist(), hi]
-            for x3 in scan_roots(lambda x: g(x) - x2, cuts):
+            for x3 in preimages(x2):
                 if lo < x3 < hi:
-                    residuals = tuple(abs(float(g(x)) - y) for x, y in ((x1, x1), (x2, x1), (x3, x2)))
+                    residuals = tuple(abs(g(x) - y) for x, y in ((x1, x1), (x2, x1), (x3, x2)))
                     if max(residuals) <= eps_root:
                         return TurbulenceWitness(z * x1, z * x2, z * x3, residuals)
     return None

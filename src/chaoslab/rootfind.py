@@ -5,11 +5,12 @@ the target function changes sign, then halve each bracket until a halving
 moves neither end.  That ends on the float next to the sign change, so no
 Newton polish follows.  The brackets come from pieces where the function
 is monotone, by one rule, `piece_brackets`: a piece is a bracket where its
-end values differ in sign.  `scan_roots` takes its pieces between sorted
-cut points (the laps of g^2 for the turbulence witness), and `orbits`
-the laps of g^n and their halves for the periodic-orbit scan.  The
-two-cycle pair in `gate` comes from an exact factorization instead, whose
-quadratic factor has known signs at the bracket ends.
+end values differ in sign.  `orbits` takes its pieces from the laps of g^n
+and their halves for the periodic-orbit scan; `scan_roots` takes them
+between sorted cut points, and no search of the package calls it (the
+turbulence witness, which did, needs no search).  The two-cycle pair in
+`gate` comes from an exact factorization instead, whose quadratic factor
+has known signs at the bracket ends.
 `refine_root` runs the bisection on Python floats, `bisect_many` on many
 brackets at once as numpy arrays, and the two give every bracket the same
 float bit for bit; `bisect_brackets` picks one of them by the number of

@@ -35,12 +35,10 @@ from .economy import (
     trapping_interval,
 )
 from .gate import (
-    EndpointGapReport,
     Method,
     SecondIterateSignReport,
     classify_closed_form,
     classify_numerical,
-    endpoint_gap_report,
     fixed_point,
     gate_check,
     period2_points,
@@ -49,7 +47,7 @@ from .gate import (
 from .orbits import GRID_BASE, periodic_orbit_lists
 from .sweep import LambdaSpec, SweepConfig, _cells, _eval_cells, mu_of
 
-#: showcase parameters used for the informational notes
+#: showcase parameters used for the informational note
 NOTE_POINT = (0.75, 0.5, 3.61)
 #: relative exclusion band around lambda_chaos for the agreement grid
 EPS_BAND = 1e-6
@@ -81,7 +79,6 @@ class VerifyResult:
     raw_failures: list[str] = field(default_factory=list)
     sign_note_point: tuple[float, float, float] = NOTE_POINT
     sign_note: SecondIterateSignReport | None = None
-    endpoint_note: EndpointGapReport | None = None
     factor_checks: int = 0
     factor_max_err: float = 0.0
     oracle_checks: int = 0
@@ -263,7 +260,6 @@ def run_verify(
     )
     note_params = EconomyParams(alpha=NOTE_POINT[0], beta=NOTE_POINT[1], lam=NOTE_POINT[2])
     result.sign_note = second_iterate_sign_report(note_params)
-    result.endpoint_note = endpoint_gap_report(note_params)
     rng = np.random.default_rng(_SEED)
     sample = _window_triples(rng, triples)
     check_raw_cells(result, sample, eps_band=eps_band, eps_cmp=eps_cmp, eps_root=eps_root)
@@ -304,13 +300,6 @@ def format_report(result: VerifyResult) -> str:
             f"rule predicts {rule}; direct evaluation gives "
             f"f2(m) - m = {n.f2_minus_m!r} "
             "(rule direction flipped; direct evaluation is authoritative)"
-        )
-    if result.endpoint_note is not None:
-        e = result.endpoint_note
-        lines.append(
-            f"[INFO] left-endpoint gap at the same point: f(a) - a = {e.direct!r} "
-            f"= (a - m)^2/a = {e.exact_form!r}; sign-only square surrogate = "
-            f"{e.square_form!r} (same sign, different magnitude by design)"
         )
     factor_status = "PASS" if result.factor_max_err <= 1e-9 else "FAIL"
     lines.append(

@@ -287,6 +287,51 @@ def test_grid_density_two_passes_verify(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("classify", "--alpha", "0.5", "--beta", "0.5", "--lambda", "1e309"),
+    ("sweep", *SWEEP_CELL, "--lambda-mode", "absolute", "--lambda-lo", "1", "--lambda-hi", "1e309"),
+    ("orbit", *POINT, "--p0", "1e309", "--steps", "3"),
+], ids=["classify-lambda", "sweep-lambda-hi", "orbit-p0"])
+def test_numbers_beyond_the_float_range_exit_64(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "too large for a float: '1e309'" in err and "Traceback" not in err
+
+
+TOLERANCE_FLAGS = [
+    ("classify", POINT, "--eps-root"),
+    ("classify", POINT, "--eps-cmp"),
+    ("sweep", SWEEP_CELL, "--eps-root"),
+    ("sweep", SWEEP_CELL, "--eps-cmp"),
+    ("certify", POINT, "--eps-root"),
+    ("verify", SMALL_VERIFY, "--eps-root"),
+    ("verify", SMALL_VERIFY, "--eps-cmp"),
+]
+
+
+@pytest.mark.parametrize("command, argv, flag", TOLERANCE_FLAGS,
+                         ids=[f"{c}{f}" for c, _, f in TOLERANCE_FLAGS])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "-0.5", "1e309"])
+def test_tolerances_must_be_finite_and_not_negative(capsys, command, argv, flag, value):
+    code, out, err = run_cli(capsys, command, *argv, flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage error: argument {flag}: ") and "Traceback" not in err
+
+
+def test_orbit_takes_no_tolerance(capsys):
+    code, _, err = run_cli(capsys, "orbit", *POINT, "--p0", "1.9", "--steps", "3", "--eps-root", "0")
+    assert code == EXIT_USAGE and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command, argv", [("classify", POINT), ("sweep", SWEEP_CELL), ("certify", POINT)])
+def test_zero_tolerances_are_accepted(capsys, command, argv):
+    flags = ["--eps-root", "0", *(["--eps-cmp", "0"] if command != "certify" else [])]
+    code, out, _ = run_cli(capsys, command, *argv, *flags)
+    assert code == EXIT_OK and out
+
+
+@pytest.mark.parametrize("argv", [
     # one ulp above lambda_g_low, mu rounds to 1, so a = m: the interval degenerates
     ("classify", "--alpha", "0.75", "--beta", "0.5", "--lambda", "1.0000000000000002"),
     ("certify", "--alpha", "0.75", "--beta", "0.5", "--lambda", "1.0000000000000002"),

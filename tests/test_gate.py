@@ -15,7 +15,6 @@ from chaoslab import (
     WindowError,
     classify_closed_form,
     classify_numerical,
-    endpoint_gap_report,
     fixed_point,
     gate_check,
     period2_points,
@@ -102,26 +101,11 @@ class TestGateCheck:
 
 
 class TestEndpointGap:
+    # its exact forms, (m - a)**2/a and a positive multiple of a square, are
+    # proven in tests/test_factorization.py
     def test_direct_value_at_anchor(self, anchor):
         iv = trapping_interval(anchor)
         assert step(anchor, iv.a) - iv.a == pytest.approx(15.39, abs=1e-10)
-
-    def test_exact_form_matches_direct(self):
-        for params in random_window_params(seed=404, count=40):
-            rep = endpoint_gap_report(params)
-            assert rep.exact_form == pytest.approx(rep.direct, abs=1e-10 * (1 + abs(rep.direct)))
-
-    def test_square_form_shares_sign_only(self, anchor):
-        rep = endpoint_gap_report(anchor)
-        assert rep.square_form == pytest.approx(0.81, abs=1e-12)
-        assert rep.direct == pytest.approx(15.39, abs=1e-10)
-        assert rep.square_form > 0.0 and rep.direct > 0.0
-
-    def test_square_form_positive_across_window(self):
-        for params in random_window_params(seed=505, count=40):
-            rep = endpoint_gap_report(params)
-            assert rep.direct > 0.0
-            assert rep.square_form > 0.0
 
 
 class TestFixedPoint:
@@ -616,8 +600,7 @@ def test_one_window_check_everywhere(lam, bound):
     with pytest.raises(WindowError) as want:
         trapping_interval(params)
     assert want.value.bound == bound
-    for check in (classify_closed_form, endpoint_gap_report):
-        with pytest.raises(WindowError) as got:
-            check(params)
-        assert str(got.value) == str(want.value)
-        assert (got.value.bound, got.value.bound_value) == (bound, want.value.bound_value)
+    with pytest.raises(WindowError) as got:
+        classify_closed_form(params)
+    assert str(got.value) == str(want.value)
+    assert (got.value.bound, got.value.bound_value) == (bound, want.value.bound_value)

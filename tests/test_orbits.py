@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,16 @@ from chaoslab import (
     trapping_interval,
 )
 import chaoslab.orbits
+import chaoslab.rootfind
 from chaoslab.economy import TrappingInterval, normal_form, normal_map
 from chaoslab.orbits import PeriodicOrbit, _cycle_roots, _lap_ends, periodic_orbit_lists
 from chaoslab.rootfind import bisect_many, refine_root
 
 from conftest import exact_orbit, grid_brackets, random_window_params
+
+
+ROOTFIND_FUNCTIONS = [name for name, value in vars(chaoslab.rootfind).items()
+                      if callable(value) and getattr(value, "__module__", "") == "chaoslab.rootfind"]
 
 
 def _normal(params, iv):
@@ -500,6 +506,52 @@ class TestTurbulenceWitness:
                 assert (got.x1, got.x2, got.x3) == pytest.approx(want, rel=1e-12, abs=0.0), params
                 found += 1
         assert 10 < found < 42
+
+    def test_runs_no_root_search_and_no_lap_scan(self, anchor, quiet, monkeypatch):
+        # the fixed points come from gate.normal_pairs, the preimages from the
+        # inverse branches of g: nothing in rootfind, and no lap of g^2, is used
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for module in (chaoslab.rootfind, chaoslab.orbits):
+            for name in ROOTFIND_FUNCTIONS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(chaoslab.rootfind, name)))
+        for name in ("_cycle_roots", "_lap_ends"):
+            monkeypatch.setattr(chaoslab.orbits, name, spy(name, getattr(chaoslab.orbits, name)))
+        for params in (anchor, quiet, *random_window_params(seed=559, count=10)):
+            iv = trapping_interval(params)
+            calls.clear()
+            find_turbulence_witness(params, iv)
+            assert calls == [], params
+        find_odd_cycle(anchor, trapping_interval(anchor), 3)
+        assert {"_cycle_roots", "_lap_ends", "bisect_brackets", "piece_brackets"} <= set(calls)
+
+    def test_exists_exactly_from_mu_25_9(self):
+        # dense mu across the window, beta log-uniform down to 1e-300 and
+        # 1 - alpha down to 1e-9; the verdict is the exact mu of the floats
+        rng = np.random.default_rng(560)
+        checked = 0
+        for mu in np.linspace(1.0, 4.0, 2001)[1:-1].tolist():
+            beta = math.exp(rng.uniform(math.log(1e-300), 0.0))
+            gap = math.exp(rng.uniform(math.log(1e-9), math.log(0.95)))
+            alpha = 1.0 - gap
+            params = EconomyParams(alpha=alpha, beta=beta, lam=mu * beta / (8.0 * gap**2))
+            exact = 8 * Fraction(params.lam) * (1 - Fraction(alpha)) ** 2 / Fraction(beta)
+            if abs(exact - Fraction(25, 9)) <= Fraction(1, 10**6):
+                continue
+            w = find_turbulence_witness(params, trapping_interval(params))
+            assert (w is not None) is (exact >= Fraction(25, 9)), (params, float(exact))
+            if w is not None:
+                assert max(w.residuals) <= EPS_ROOT
+                assert min(w.x1, w.x2) < w.x3 < max(w.x1, w.x2)
+            checked += 1
+        assert checked == 1999
 
 
 class TestSearchPeriod3:
